@@ -475,7 +475,7 @@ def _solve_n_for_method(tag, k, config):
         return min_committee_size(k, target, threshold, frac, model)
 
     def delta_of(n: int) -> float:
-        layout = CommitteeLayout((n,) * k)
+        layout = CommitteeLayout.from_runs(((n, k),))
         if tag == "asymptotic":
             count = exact_count_from_rate(layout.total, frac)
             if count == 0:

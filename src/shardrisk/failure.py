@@ -21,6 +21,7 @@ flag plus a trivial per-committee bound of 1 when violated.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -169,32 +170,32 @@ def failure_threshold(threshold: RateLike, committee_size: int) -> int:
     return floor_rate_multiple(threshold, size) + 1
 
 
-def _allowed_counts(layout: CommitteeLayout, threshold: RateLike) -> list[int]:
-    """floor(A * size) per committee: the largest non-failing count."""
-    return [floor_rate_multiple(threshold, s) for s in layout.sizes]
+def _average_groups(query: FailureQuery) -> list[tuple[int, float, int, int]]:
+    """(size, rate, allowed_count, multiplicity) groups of an average-model query.
 
-
-def _grouped_committees(layout: CommitteeLayout, rates: Sequence[float],
-                        threshold: RateLike):
-    """(size, rate, allowed_count, multiplicity) in first-seen order."""
-    groups: dict[tuple[int, float], int] = {}
-    for size, rate in zip(layout.sizes, rates):
-        groups[(size, rate)] = groups.get((size, rate), 0) + 1
+    A single rate reads the layout's runs; per-committee rates group by
+    (size, rate) over the expanded committee sequence, in first-seen order.
+    The allowed count floor(A * size) is the largest non-failing count.
+    """
+    adversary = query.adversary
+    if not isinstance(adversary, AverageAdversary):
+        raise ValueError("this evaluator needs an AverageAdversary model")
+    layout = query.layout
+    if isinstance(adversary.rate, tuple):
+        rates = adversary.rates_for(layout.committee_count)
+        groups = Counter(zip(layout.sizes, rates)).items()
+    else:
+        rate = float(adversary.rate)
+        groups = (((size, rate), mult) for size, mult in layout.runs)
     return [
-        (size, rate, floor_rate_multiple(threshold, size), mult)
-        for (size, rate), mult in groups.items()
+        (size, rate, floor_rate_multiple(query.threshold, size), mult)
+        for (size, rate), mult in groups
     ]
 
 
 @lru_cache(maxsize=65536)
 def _binomial_split_cached(size: int, rate: float, cap: int) -> tuple[float, float]:
     return binomial_tail_and_cdf(size, rate, cap)
-
-
-def _require_average(query: FailureQuery) -> tuple[float, ...]:
-    if not isinstance(query.adversary, AverageAdversary):
-        raise ValueError("this evaluator needs an AverageAdversary model")
-    return query.adversary.rates_for(query.layout.committee_count)
 
 
 def _require_exact(query: FailureQuery) -> int:
@@ -210,16 +211,14 @@ def delta_exact_binomial(query: FailureQuery) -> DeltaResult:
     counts; survival and failure are each accumulated in their own log
     domain so neither loses precision to the other.
     """
-    rates = _require_average(query)
     log_survival = 0.0
-    log_tails: list[float] = []
-    for size, rate, cap, mult in _grouped_committees(query.layout, rates,
-                                                     query.threshold):
+    log_tails: list[tuple[float, int]] = []
+    for size, rate, cap, mult in _average_groups(query):
         if cap >= size:
             continue  # committee can never fail at this threshold
         log_cdf, log_tail = _binomial_split_cached(size, rate, cap)
         log_survival += mult * log_cdf
-        log_tails.extend([log_tail] * mult)
+        log_tails.append((log_tail, mult))
     log_delta = stable_complement_product(log_tails)
     return _result_from_both_sides("exact-binomial", log_delta, log_survival)
 
@@ -259,15 +258,19 @@ def _log_convolve_truncated(state: np.ndarray, row: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_truncated_coefficient(sizes: Sequence[int], caps: Sequence[int],
+def _log_truncated_coefficient(runs: Sequence[tuple[int, int, int]],
                                target: int) -> float:
-    """log of the z^target coefficient of prod_mu sum_{j<=cap_mu} C(n_mu,j) z^j."""
+    """log of the z^target coefficient of prod_mu sum_{j<=cap_mu} C(n_mu,j) z^j.
+
+    ``runs`` holds (size, cap, multiplicity) in committee order.
+    """
     state = np.full(target + 1, LOG_ZERO)
     state[0] = 0.0
-    for size, cap in zip(sizes, caps):
+    for size, cap, mult in runs:
         top = min(cap, size, target)
         row = np.array(log_binomial_coefficients(size)[: top + 1])
-        state = _log_convolve_truncated(state, row)
+        for _ in range(mult):
+            state = _log_convolve_truncated(state, row)
     return float(state[target])
 
 
@@ -291,13 +294,14 @@ def delta_exact_hypergeometric(query: FailureQuery, *,
             f"{n_total} nodes exceeds the DP cap of {node_cap}; raise node_cap "
             "or use the asymptotic evaluator"
         )
-    caps = _allowed_counts(layout, query.threshold)
-    if all(cap >= size for cap, size in zip(caps, layout.sizes)):
+    runs = [(size, floor_rate_multiple(query.threshold, size), mult)
+            for size, mult in layout.runs]
+    if all(cap >= size for size, cap, _ in runs):
         return _result_from_log_survival("exact-hypergeometric", 0.0)
-    if m <= min(caps):
+    if m <= min(cap for _, cap, _ in runs):
         # no committee can exceed its allowance even if every adversary lands in it
         return _result_from_log_survival("exact-hypergeometric", 0.0)
-    log_numer = _log_truncated_coefficient(layout.sizes, caps, m)
+    log_numer = _log_truncated_coefficient(runs, m)
     log_survival = log_numer - log_binomial_coefficient(n_total, m)
     warnings = ()
     if log_survival > 1e-9:
@@ -310,7 +314,7 @@ def delta_exact_hypergeometric(query: FailureQuery, *,
 # Chernoff-type sandwich bounds (fixed committee sizes, independent rates)
 
 
-def _committee_kl_terms(layout, rates, threshold):
+def _committee_kl_terms(groups):
     """Per committee group: (mult, log tail bounds or None when degenerate).
 
     Yields (mult, kind, data) with kind one of:
@@ -318,7 +322,7 @@ def _committee_kl_terms(layout, rates, threshold):
       'bad'    - bound precondition violated, degrade to trivial bound 1
       'ok'     - data = (size, rate, q, divergence)
     """
-    for size, rate, cap, mult in _grouped_committees(layout, rates, threshold):
+    for size, rate, cap, mult in groups:
         fail_at = cap + 1
         if fail_at > size:
             yield mult, "never", None
@@ -347,21 +351,19 @@ def theorem1_bounds(query: FailureQuery) -> tuple[DeltaResult, DeltaResult, Delt
     and clear the precondition flag; committees whose failure count exceeds
     their size never fail and contribute 0 exactly.
     """
-    rates = _require_average(query)
-    lower_terms: list[float] = []
-    ash_terms: list[float] = []
-    ferrante_terms: list[float] = []
+    lower_terms: list[tuple[float, int]] = []
+    ash_terms: list[tuple[float, int]] = []
+    ferrante_terms: list[tuple[float, int]] = []
     precondition_ok = True
     warnings = []
-    for mult, kind, data in _committee_kl_terms(query.layout, rates,
-                                                query.threshold):
+    for mult, kind, data in _committee_kl_terms(_average_groups(query)):
         if kind == "never":
             continue
         if kind == "bad":
             precondition_ok = False
-            lower_terms.extend([0.0] * mult)  # log 1
-            ash_terms.extend([0.0] * mult)
-            ferrante_terms.extend([0.0] * mult)
+            lower_terms.append((0.0, mult))  # log 1
+            ash_terms.append((0.0, mult))
+            ferrante_terms.append((0.0, mult))
             continue
         size, rate, q, div = data
         log_ash = -size * div
@@ -372,9 +374,9 @@ def theorem1_bounds(query: FailureQuery) -> tuple[DeltaResult, DeltaResult, Delt
             - math.log1p(-r)
             - 0.5 * math.log(2.0 * math.pi * q * (1.0 - q) * size)
         )
-        lower_terms.extend([min(log_lower, 0.0)] * mult)
-        ash_terms.extend([min(log_ash, 0.0)] * mult)
-        ferrante_terms.extend([min(log_ferrante, 0.0)] * mult)
+        lower_terms.append((min(log_lower, 0.0), mult))
+        ash_terms.append((min(log_ash, 0.0), mult))
+        ferrante_terms.append((min(log_ferrante, 0.0), mult))
     if not precondition_ok:
         warnings.append("bound precondition violated for some committee")
 
@@ -397,11 +399,9 @@ def theorem1_bounds(query: FailureQuery) -> tuple[DeltaResult, DeltaResult, Delt
 
 def union_bound_fixed_sizes(query: FailureQuery) -> DeltaResult:
     """Union bound sum_mu exp(-n_mu D(q_mu || p_mu)) for fixed sizes."""
-    rates = _require_average(query)
     terms = []
     precondition_ok = True
-    for mult, kind, data in _committee_kl_terms(query.layout, rates,
-                                                query.threshold):
+    for mult, kind, data in _committee_kl_terms(_average_groups(query)):
         if kind == "never":
             continue
         if kind == "bad":
@@ -507,10 +507,7 @@ def union_bound_hypergeometric(query: FailureQuery) -> tuple[DeltaResult, DeltaR
     exact_terms = []
     hoeffding_terms = []
     precondition_ok = True
-    groups: dict[int, int] = {}
-    for size in layout.sizes:
-        groups[size] = groups.get(size, 0) + 1
-    for size, mult in groups.items():
+    for size, mult in layout.runs:
         cap = floor_rate_multiple(query.threshold, size)
         if cap >= size:
             continue

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "AdversaryModel",
     "AverageAdversary",
     "CommitteeLayout",
-    "CountVector",
     "ExactAdversary",
     "exact_count_from_rate",
     "hypergeometric_marginal_log_pmf",
@@ -38,34 +37,67 @@ __all__ = [
     "product_binomial_log_pmf",
 ]
 
-#: Adversarial node counts per committee.
-CountVector = Sequence[int]
+
+def _merged_runs(runs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """Validate (size, multiplicity) runs, drop empty ones, merge equal neighbours."""
+    merged: list[tuple[int, int]] = []
+    for size, mult in runs:
+        size, mult = int(size), int(mult)
+        if size < 1:
+            raise ValueError(
+                f"every committee needs at least one node, got size {size}")
+        if mult < 0:
+            raise ValueError(f"a run multiplicity must be non-negative, got {mult}")
+        if mult == 0:
+            continue
+        if merged and merged[-1][0] == size:
+            merged[-1] = (size, merged[-1][1] + mult)
+        else:
+            merged.append((size, mult))
+    if not merged:
+        raise ValueError("a layout needs at least one committee")
+    return tuple(merged)
 
 
 @dataclass(frozen=True)
 class CommitteeLayout:
-    """Fixed committee sizes; immutable and hashable."""
+    """Fixed committee sizes in committee order; immutable and hashable.
 
-    sizes: tuple[int, ...]
+    Stored as run-length ``runs``: (size, multiplicity) pairs in committee
+    order, with no two neighbouring runs of equal size.  That form is
+    canonical, so equality and hashing are those of the committee sequence,
+    and the analytic evaluators cost O(runs) rather than O(committees).
+    ``sizes`` and ``sizes_array()`` expand the runs back into the
+    per-committee sequence, in the original order.
+    """
+
+    runs: tuple[tuple[int, int], ...]
 
     def __init__(self, sizes: Sequence[int]):
-        sizes = tuple(int(s) for s in sizes)
-        if len(sizes) < 1:
-            raise ValueError("a layout needs at least one committee")
-        if any(s < 1 for s in sizes):
-            raise ValueError(f"every committee needs at least one node, got {sizes}")
-        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "runs", _merged_runs((s, 1) for s in sizes))
+
+    @classmethod
+    def from_runs(cls, runs: Iterable[tuple[int, int]]) -> CommitteeLayout:
+        """Layout from (size, multiplicity) runs; zero multiplicities are dropped."""
+        layout = object.__new__(cls)
+        object.__setattr__(layout, "runs", _merged_runs(runs))
+        return layout
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(size for size, mult in self.runs for _ in range(mult))
 
     @property
     def total(self) -> int:
-        return sum(self.sizes)
+        return sum(size * mult for size, mult in self.runs)
 
     @property
     def committee_count(self) -> int:
-        return len(self.sizes)
+        return sum(mult for _, mult in self.runs)
 
     def sizes_array(self) -> np.ndarray:
-        return np.asarray(self.sizes, dtype=np.int64)
+        sizes, mults = zip(*self.runs)
+        return np.repeat(np.asarray(sizes, dtype=np.int64), mults)
 
 
 def layout_from_split(total_nodes: int, committees: int) -> CommitteeLayout:
@@ -85,7 +117,7 @@ def layout_from_split(total_nodes: int, committees: int) -> CommitteeLayout:
             f"cannot split {n_total} nodes into {k} committees without an empty one"
         )
     base, rem = divmod(n_total, k)
-    return CommitteeLayout((base,) * (k - rem) + (base + 1,) * rem)
+    return CommitteeLayout.from_runs(((base, k - rem), (base + 1, rem)))
 
 
 @dataclass(frozen=True)
@@ -143,7 +175,7 @@ def exact_count_from_rate(total_nodes: int, rate: RateLike) -> int:
     return min(max(int(m), 0), int(total_nodes))
 
 
-def _validate_counts(counts: CountVector, layout: CommitteeLayout) -> tuple[int, ...]:
+def _validate_counts(counts: Sequence[int], layout: CommitteeLayout) -> tuple[int, ...]:
     counts = tuple(int(c) for c in counts)
     if len(counts) != layout.committee_count:
         raise ValueError(
@@ -199,7 +231,7 @@ def _binomial_log_pmf(count: int, size: int, p: float) -> float:
 
 
 def product_binomial_log_pmf(
-    counts: CountVector,
+    counts: Sequence[int],
     layout: CommitteeLayout,
     rates: Union[RateLike, Sequence[RateLike]],
 ) -> float:
@@ -220,7 +252,7 @@ def product_binomial_log_pmf(
 
 
 def multivariate_hypergeometric_log_pmf(
-    counts: CountVector, layout: CommitteeLayout, adversary_count: int
+    counts: Sequence[int], layout: CommitteeLayout, adversary_count: int
 ) -> float:
     """Log pmf of per-committee counts given exactly M adversarial nodes.
 

@@ -172,22 +172,24 @@ def kl_divergence(q: RateLike, p: RateLike) -> float:
     return d if d > 0.0 else 0.0
 
 
-def stable_complement_product(log_terms: Iterable[float]) -> float:
-    """log(1 - prod(1 - p_i)) from the log p_i, via log1p-grade primitives.
+def stable_complement_product(log_terms: Iterable[tuple[float, int]]) -> float:
+    """log(1 - prod(1 - p_i)^m_i) from (log p_i, m_i) pairs.
 
-    Accepts an iterable of log-probabilities (each <= 0 or -inf).  Remains
-    accurate when every p_i is below 1e-12 and when the product is within
-    1e-15 of 1.  The empty product is 1, so an empty input yields LOG_ZERO.
+    Accepts an iterable of (log-probability, multiplicity) pairs, each
+    log-probability <= 0 or -inf and each multiplicity a positive integer.
+    Evaluated through log1p-grade primitives, so it remains accurate when
+    every p_i is below 1e-12 and when the product is within 1e-15 of 1.
+    The empty product is 1, so an empty input yields LOG_ZERO.
     """
     log_survival = 0.0
-    for term in log_terms:
+    for term, mult in log_terms:
         t = float(term)
         if t > 0.0:
             if t < 1e-12:
                 t = 0.0  # tolerate rounding residue from upstream clamps
             else:
                 raise ValueError(f"log-probability must be <= 0, got {t!r}")
-        log_survival += log1mexp(t)
+        log_survival += mult * log1mexp(t)
     if log_survival >= 0.0:
         return LOG_ZERO
     return log1mexp(log_survival)

@@ -110,16 +110,9 @@ def truncated_binomial_summary(
     return TruncatedBinomialSummary(log_mass=log_mass, mean=mean, second_moment=second)
 
 
-def _grouped_sizes(layout: CommitteeLayout) -> list[tuple[int, int]]:
-    groups: dict[int, int] = {}
-    for size in layout.sizes:
-        groups[size] = groups.get(size, 0) + 1
-    return list(groups.items())
-
-
-def _mean_fraction(groups, n_total, q, threshold) -> float:
+def _mean_fraction(runs, n_total, q, threshold) -> float:
     acc = 0.0
-    for size, mult in groups:
+    for size, mult in runs:
         acc += mult * truncated_binomial_summary(size, q, threshold).mean
     return acc / n_total
 
@@ -139,9 +132,9 @@ def solve_saddle(
         raise ValueError(f"adversary_rate must lie strictly inside (0, 1), got {p!r}")
     a = rate_as_float(threshold, "threshold")
     n_total = layout.total
-    groups = _grouped_sizes(layout)
-    caps = {size: min(floor_rate_multiple(threshold, size), size) for size, _ in groups}
-    if all(caps[size] == size for size, _ in groups):
+    runs = layout.runs
+    caps = {size: min(floor_rate_multiple(threshold, size), size) for size, _ in runs}
+    if all(caps[size] == size for size, _ in runs):
         return SaddleSolution(
             tilt=p,
             psi=0.0,
@@ -154,7 +147,7 @@ def solve_saddle(
             f"no tilt exists: adversary rate {p!r} must be strictly below the "
             f"threshold fraction {a!r}"
         )
-    mean_sup = sum(mult * caps[size] for size, mult in groups) / n_total
+    mean_sup = sum(mult * caps[size] for size, mult in runs) / n_total
     if p > mean_sup:
         raise ValueError(
             f"no tilt exists: adversary rate {p!r} exceeds the average "
@@ -166,7 +159,7 @@ def solve_saddle(
     residual = math.inf
     for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        g = _mean_fraction(groups, n_total, mid, threshold) - p
+        g = _mean_fraction(runs, n_total, mid, threshold) - p
         residual = g
         if abs(g) <= _RESIDUAL_TOL:
             break
@@ -180,7 +173,7 @@ def solve_saddle(
     psi = kl_divergence(p, q)
     variance_sum = 0.0
     mean_acc = 0.0
-    for size, mult in groups:
+    for size, mult in runs:
         summary = truncated_binomial_summary(size, q, threshold)
         psi += mult * summary.log_mass / n_total
         variance_sum += mult * summary.variance
@@ -232,43 +225,3 @@ def delta_asymptotic(
         "asymptotic", min(log_survival, 0.0), clamped=clamped, warnings=warnings
     )
 
-
-def log_generating_derivative_ratios(
-    committee_size: int, z: float, threshold: RateLike
-) -> tuple[float, float]:
-    """(phi'/phi, phi''/phi) of the capped generating polynomial at z.
-
-    phi(z) = sum_{j<=cap} C(size, j) z^j.  Evaluated through max-shifted
-    weights, independently of the tilt parametrisation, so it serves as a
-    cross-check of the variance-based curvature formula.
-    """
-    size = int(committee_size)
-    if z <= 0.0:
-        raise ValueError(f"z must be positive, got {z!r}")
-    cap = min(floor_rate_multiple(threshold, size), size)
-    j = np.arange(cap + 1, dtype=np.float64)
-    log_w = np.array(log_binomial_coefficients(size)[: cap + 1]) + j * math.log(z)
-    shift = float(log_w.max())
-    w = np.exp(log_w - shift)
-    total = float(w.sum())
-    first = float((j * w).sum() / total) / z
-    second = float((j * (j - 1.0) * w).sum() / total) / (z * z)
-    return first, second
-
-
-def curvature_at_tilt(
-    layout: CommitteeLayout, tilt: float, adversary_rate: float, threshold: RateLike
-) -> float:
-    """Second derivative of the saddle exponent at z = tilt / (1 - tilt).
-
-    P / z^2 + (1/N) sum_mu (phi''/phi - (phi'/phi)^2), computed from the
-    generating-polynomial derivative ratios.  Used by the consistency tests
-    against the truncated-variance form of the prefactor.
-    """
-    z = tilt / (1.0 - tilt)
-    n_total = layout.total
-    acc = adversary_rate / (z * z)
-    for size, mult in _grouped_sizes(layout):
-        first, second = log_generating_derivative_ratios(size, z, threshold)
-        acc += mult * (second - first * first) / n_total
-    return acc

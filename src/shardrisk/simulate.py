@@ -124,9 +124,11 @@ def estimate_delta(plan: SimulationPlan) -> DeltaEstimate:
     Reproducible: the result is a pure function of (query, samples, seed).
     """
     layout = plan.query.layout
-    caps = np.array(
-        [floor_rate_multiple(plan.query.threshold, s) for s in layout.sizes],
-        dtype=np.int64,
+    sizes, mults = zip(*layout.runs)
+    caps = np.repeat(
+        np.array([floor_rate_multiple(plan.query.threshold, s) for s in sizes],
+                 dtype=np.int64),
+        mults,
     )
     chunks = []
     remaining = plan.samples

@@ -139,7 +139,7 @@ def _uniform_exact_delta(
         return 0.0
     if m == total:
         return 1.0
-    layout = CommitteeLayout((size,) * committees)
+    layout = CommitteeLayout.from_runs(((size, committees),))
     if total <= dp_node_cap:
         query = FailureQuery(layout, ExactAdversary(m), threshold)
         return delta_exact_hypergeometric(query, node_cap=dp_node_cap).delta
@@ -187,7 +187,7 @@ def min_committee_size(
 
     if model == "average":
         def delta_at(n: int) -> float:
-            layout = CommitteeLayout((n,) * k)
+            layout = CommitteeLayout.from_runs(((n, k),))
             query = FailureQuery(layout, AverageAdversary(adversary_rate), threshold)
             return delta_exact_binomial(query).delta
     else:

@@ -13,6 +13,9 @@ from itertools import product
 
 import numpy as np
 
+from shardrisk.partitions import CommitteeLayout
+from shardrisk.probcore import RateLike, floor_rate_multiple, log_binomial_coefficients
+
 
 def partitions_up_to(n_max: int):
     """All integer partitions (non-increasing tuples) of every n <= n_max."""
@@ -54,8 +57,11 @@ def hypergeometric_failure_table(sizes, threshold: Fraction):
     return fail, total
 
 
-def binomial_failure_enumeration(sizes, rate: float, threshold: Fraction) -> float:
-    """Exact failure probability by summing over all 2^N node colourings."""
+def binomial_failure_enumeration(sizes, rate, threshold: Fraction) -> float:
+    """Exact failure probability by summing over all 2^N node colourings.
+
+    ``rate`` is one rate for every node or a sequence of per-committee rates.
+    """
     n_total = sum(sizes)
     caps = np.array([int(Fraction(threshold) * s) for s in sizes])
     member = np.repeat(np.arange(len(sizes)), sizes)
@@ -66,8 +72,8 @@ def binomial_failure_enumeration(sizes, rate: float, threshold: Fraction) -> flo
         np.float64
     )
     counts = bits @ onehot
-    k = bits.sum(axis=1)
-    weights = rate ** k * (1.0 - rate) ** (n_total - k)
+    node_rates = np.broadcast_to(np.asarray(rate, dtype=np.float64), len(sizes))[member]
+    weights = np.where(bits > 0.0, node_rates, 1.0 - node_rates).prod(axis=1)
     failing = (counts > caps).any(axis=1)
     return float(weights[failing].sum())
 
@@ -79,3 +85,44 @@ def scan_largest_committee_count(total_nodes, delta_of_k, delta_target) -> int:
         if delta_of_k(k) <= delta_target:
             best = k
     return best
+
+
+def log_generating_derivative_ratios(
+    committee_size: int, z: float, threshold: RateLike
+) -> tuple[float, float]:
+    """(phi'/phi, phi''/phi) of the capped generating polynomial at z.
+
+    phi(z) = sum_{j<=cap} C(size, j) z^j.  Evaluated through max-shifted
+    weights, independently of the tilt parametrisation, so it serves as a
+    cross-check of the variance-based curvature formula.
+    """
+    size = int(committee_size)
+    if z <= 0.0:
+        raise ValueError(f"z must be positive, got {z!r}")
+    cap = min(floor_rate_multiple(threshold, size), size)
+    j = np.arange(cap + 1, dtype=np.float64)
+    log_w = np.array(log_binomial_coefficients(size)[: cap + 1]) + j * math.log(z)
+    shift = float(log_w.max())
+    w = np.exp(log_w - shift)
+    total = float(w.sum())
+    first = float((j * w).sum() / total) / z
+    second = float((j * (j - 1.0) * w).sum() / total) / (z * z)
+    return first, second
+
+
+def curvature_at_tilt(
+    layout: CommitteeLayout, tilt: float, adversary_rate: float, threshold: RateLike
+) -> float:
+    """Second derivative of the saddle exponent at z = tilt / (1 - tilt).
+
+    P / z^2 + (1/N) sum_mu (phi''/phi - (phi'/phi)^2), computed from the
+    generating-polynomial derivative ratios.  Used by the consistency tests
+    against the truncated-variance form of the prefactor.
+    """
+    z = tilt / (1.0 - tilt)
+    n_total = layout.total
+    acc = adversary_rate / (z * z)
+    for size, mult in layout.runs:
+        first, second = log_generating_derivative_ratios(size, z, threshold)
+        acc += mult * (second - first * first) / n_total
+    return acc

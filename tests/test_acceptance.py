@@ -31,6 +31,7 @@ import pytest
 
 from oracles import (
     binomial_failure_enumeration,
+    curvature_at_tilt,
     hypergeometric_failure_table,
     partitions_up_to,
     scan_largest_committee_count,
@@ -52,7 +53,6 @@ from shardrisk.partitions import (
 from shardrisk.partitions import _marginal_log_pmf_alternate, _marginal_log_pmf_primary
 from shardrisk.probcore import kl_divergence
 from shardrisk.saddle import (
-    curvature_at_tilt,
     delta_asymptotic,
     solve_saddle,
     truncated_binomial_summary,

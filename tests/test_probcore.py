@@ -130,7 +130,7 @@ class TestKLDivergence:
 class TestStableComplementProduct:
     def test_two_committees(self):
         term = math.log(0.3671875)
-        got = stable_complement_product([term, term])
+        got = stable_complement_product([(term, 2)])
         assert got == pytest.approx(math.log(0.59954833984375), abs=1e-13)
 
     def test_empty_input_is_probability_zero(self):
@@ -138,7 +138,7 @@ class TestStableComplementProduct:
 
     def test_tiny_terms_high_precision(self):
         term = math.log(1e-15)
-        got = stable_complement_product([term] * 10)
+        got = stable_complement_product([(term, 10)])
         with mpmath.workdps(60):
             p = mpmath.exp(mpmath.mpf(term))
             reference = 1 - (1 - p) ** 10
@@ -147,18 +147,18 @@ class TestStableComplementProduct:
 
     def test_product_near_one(self):
         # nine certain committees out of ten: failure probability exactly 1
-        terms = [0.0] * 9 + [math.log(0.5)]
+        terms = [(0.0, 9), (math.log(0.5), 1)]
         assert stable_complement_product(terms) == 0.0
 
     def test_certain_survival(self):
-        assert stable_complement_product([LOG_ZERO, LOG_ZERO]) == LOG_ZERO
+        assert stable_complement_product([(LOG_ZERO, 2)]) == LOG_ZERO
 
     @given(
         st.lists(st.floats(min_value=1e-6, max_value=1 - 1e-6), min_size=1, max_size=8)
     )
     @settings(max_examples=200, deadline=None)
     def test_agrees_with_naive_linear_evaluation(self, probs):
-        got = math.exp(stable_complement_product([math.log(p) for p in probs]))
+        got = math.exp(stable_complement_product([(math.log(p), 1) for p in probs]))
         naive = 1.0
         for p in probs:
             naive *= 1.0 - p
@@ -166,7 +166,7 @@ class TestStableComplementProduct:
 
     def test_rejects_positive_logs(self):
         with pytest.raises(ValueError):
-            stable_complement_product([0.5])
+            stable_complement_product([(0.5, 1)])
 
 
 class TestHelpers:

@@ -4,10 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import curvature_at_tilt
 from shardrisk.failure import FailureQuery, delta_exact_hypergeometric
 from shardrisk.partitions import CommitteeLayout, ExactAdversary, layout_from_split
 from shardrisk.saddle import (
-    curvature_at_tilt,
     delta_asymptotic,
     solve_saddle,
     truncated_binomial_summary,
