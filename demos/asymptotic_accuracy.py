@@ -1,7 +1,7 @@
 """How good is the saddle-point estimate, and where does it break?
 
 Compares the leading-order saddle-point survival estimate against the
-exact dynamic-programming value on growing networks.  Two regimes emerge:
+exact value on growing networks.  Two regimes emerge:
 at matched committee-count ratios the relative log-survival error shrinks
 roughly like 1/N, but in the extreme-tail corner (few, large committees)
 the dropped O(1/N) correction swamps the microscopic true value and the
@@ -48,8 +48,8 @@ def main() -> None:
         exact, asym, err = rel_log_survival_error(10_000, k)
         print(f"{k:>5} {exact:>12.5g} {asym:>12.5g} {err:>24.2e}")
     print("\nbelow roughly K=25 the true failure probability drops under ~1e-3")
-    print("and the leading-order estimate loses it entirely; use the dynamic")
-    print("programme there (it stays exact up to the node cap)")
+    print("and the leading-order estimate loses it entirely; use the exact")
+    print("evaluator there (it stays exact at every network size)")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,6 @@
 committee partitions of a node network."""
 
 from .failure import (
-    DP_NODE_CAP,
     DeltaResult,
     FailureQuery,
     delta_exact_binomial,
@@ -62,7 +61,6 @@ __all__ = [
     "AdversaryModel",
     "AverageAdversary",
     "CommitteeLayout",
-    "DP_NODE_CAP",
     "DeltaEstimate",
     "DeltaResult",
     "ExactAdversary",

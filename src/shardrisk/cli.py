@@ -3,7 +3,8 @@
 Subcommands: delta, bounds, asymptotic, size, sweep, simulate.  Output is
 CSV (default) or JSON, to stdout or a file; identical invocations produce
 byte-identical output, including sweep row order.  Exit codes: 0 success,
-1 domain or numeric error, 2 usage error.
+1 domain, numeric or internal error (one ``error:`` line on stderr, no
+traceback), 2 usage error.
 """
 
 from __future__ import annotations
@@ -589,6 +590,9 @@ def main(argv=None) -> int:
         return int(exit_.code or 0)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # a defect, reported on one line like any other error
+        print(f"error: internal error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 1
     return 0
 

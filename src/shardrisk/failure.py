@@ -5,8 +5,9 @@ fraction A of adversarial nodes, i.e. a count of floor(A * size) + 1 or
 higher.  This module evaluates the probability of that event
 
 * exactly, under the independent-rate (product-binomial) model,
-* exactly, under the exactly-M (hypergeometric) model, through a log-domain
-  dynamic-programming convolution of truncated binomial-coefficient rows,
+* exactly, under the exactly-M (hypergeometric) model, through FFT
+  convolutions of truncated binomial-coefficient rows tilted to their
+  saddle point,
 * through Chernoff-type sandwich bounds built on the Ash binomial-tail
   inequalities and the Ferrante refinement,
 * through union (Boole) bounds for all three sampling scenarios, including
@@ -24,9 +25,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .partitions import (
     AdversaryModel,
@@ -60,10 +62,6 @@ __all__ = [
     "union_bound_hypergeometric",
     "union_bound_random_sizes",
 ]
-
-#: Default node-count cap of the hypergeometric dynamic programme.
-DP_NODE_CAP = 100_000
-
 
 @dataclass(frozen=True)
 class FailureQuery:
@@ -224,90 +222,296 @@ def delta_exact_binomial(query: FailureQuery) -> DeltaResult:
 
 
 # ---------------------------------------------------------------------------
-# exact hypergeometric failure probability via log-domain DP convolution
+# exact hypergeometric failure probability via saddle-tilted FFT
+#
+# Give a committee of size n the weights C(n, j) z^j on its count j and split
+# them into S (j up to the allowed count), F (j above it) and T = S + F.  The
+# exactly-M survival numerator is the z^M coefficient of prod_g S_g^m_g; the
+# failure numerator is that of prod_g T_g^m_g - prod_g S_g^m_g, which is the
+# upper-right entry of prod_g [[S_g, F_g], [0, T_g]]^m_g and so a sum of
+# positive terms.  Each side is tilted by z = e^u to its own saddle, where its
+# coefficient sits near the peak of a positive sequence; there an FFT
+# convolution keeps the coefficient's relative accuracy (Keich 2005; Wilson
+# and Keich 2016).  Counts above M cannot reach the z^M coefficient, so rows
+# stop at min(n, M).
 
-_DP_BLOCK = 128
+_TILT_BOUND = 40.0  # |u| limit of the tilt search; e^40 outweighs any row ratio
+_TILT_STEPS = 200
+# weights below e^-600 of a row's peak are raised to it: the mass moves by
+# under 1e-250, and the rows stay free of subnormal floats, which slow the
+# dot products and FFTs a thousandfold
+_LOG_WEIGHT_FLOOR = -600.0
 
 
-def _log_convolve_truncated(state: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """One DP step: log-domain convolution of ``state`` with ``row``.
+class _CapGroup(NamedTuple):
+    """A run of equal committees: ln C(size, j) for j = 0..top, split at cap."""
 
-    ``state[m]`` is the log coefficient of z^m accumulated so far; ``row[j]``
-    is ln C(size, j) for the next committee, truncated at its allowed count.
-    Shifts are processed in fixed-size blocks to bound memory at
-    O(block * len(state)).
+    cap: int
+    top: int
+    mult: int
+    log_coeffs: np.ndarray
+    counts: np.ndarray
+    counts_sq: np.ndarray
+
+
+class _Part(NamedTuple):
+    """One side of a tilted row: unit-mass weights, log mass, mean, variance."""
+
+    row: np.ndarray
+    log_mass: float
+    mean: float
+    var: float
+
+
+class _GroupTilt(NamedTuple):
+    """A group's tilted S and F parts; ``fail`` is None when it cannot fail."""
+
+    surv: _Part
+    fail: _Part | None
+    log_ratio: float  # ln T - ln S, from the log odds ln F - ln S
+    log_p_fail: float  # ln F - ln T
+
+
+class _TiltMoments(NamedTuple):
+    """Means and variances of the tilted survival, failure and total laws."""
+
+    groups: list[_GroupTilt]
+    surv_mean: float
+    surv_var: float
+    fail_mean: float
+    fail_var: float
+    total_mean: float
+    total_var: float
+    log_total: float  # sum_g m_g ln T_g(e^u)
+    log_ratio: float  # sum_g m_g ln(T_g / S_g)
+
+
+def _part(log_w: np.ndarray, counts: np.ndarray, counts_sq: np.ndarray) -> _Part:
+    shift = float(log_w.max())
+    w = np.exp(np.maximum(log_w - shift, _LOG_WEIGHT_FLOOR))
+    mass = float(w.sum())
+    row = w / mass
+    # einsum, not a BLAS dot: threaded BLAS start-up costs more than these sums
+    mean = float(np.einsum("i,i->", counts, row))
+    var = max(float(np.einsum("i,i->", counts_sq, row)) - mean * mean, 0.0)
+    return _Part(row, shift + math.log(mass), mean, var)
+
+
+def _tilt_moments(groups: Sequence[_CapGroup], u: float) -> _TiltMoments:
+    """Moments of the three coefficient sequences tilted by z = e^u.
+
+    The failure law mixes "group g fails" terms with weights
+    W_g = m_g P_g(F) / P(some committee fails).  Every quantity below is a
+    sum of positive terms or a log-domain ratio, so a failure probability
+    far below 1e-300 at this tilt still gives finite moments.
     """
-    m_len = state.shape[0]
-    out = np.full(m_len, LOG_ZERO)
-    for start in range(0, row.shape[0], _DP_BLOCK):
-        stop = min(start + _DP_BLOCK, row.shape[0])
-        block = np.full((stop - start, m_len), LOG_ZERO)
-        for i, j in enumerate(range(start, stop)):
-            if j == 0:
-                block[i] = state + row[0]
-            else:
-                block[i, j:] = state[:m_len - j] + row[j]
-        top = block.max(axis=0)
-        ok = top > LOG_ZERO
-        if np.any(ok):
-            partial = np.full(m_len, LOG_ZERO)
-            partial[ok] = top[ok] + np.log(
-                np.exp(block[:, ok] - top[ok]).sum(axis=0)
-            )
-            out = np.logaddexp(out, partial)
-    return out
+    tilted = []
+    surv_mean = surv_var = total_mean = total_var = log_total = log_ratio = 0.0
+    failing = []  # (ln m + ln P(F), ln m + ln ln(T / S), gap, variance excess)
+    for g in groups:
+        log_w = g.log_coeffs + u * g.counts
+        cut = g.cap + 1
+        surv = _part(log_w[:cut], g.counts[:cut], g.counts_sq[:cut])
+        surv_mean += g.mult * surv.mean
+        surv_var += g.mult * surv.var
+        if g.cap == g.top:
+            tilted.append(_GroupTilt(surv, None, 0.0, LOG_ZERO))
+            total_mean += g.mult * surv.mean
+            total_var += g.mult * surv.var
+            log_total += g.mult * surv.log_mass
+            continue
+        fail = _part(log_w[cut:], g.counts[cut:], g.counts_sq[cut:])
+        odds = fail.log_mass - surv.log_mass
+        ratio = float(np.logaddexp(0.0, odds))
+        p_surv = math.exp(-ratio)
+        p_fail = math.exp(odds - ratio)
+        gap = fail.mean - surv.mean
+        tilted.append(_GroupTilt(surv, fail, ratio, odds - ratio))
+        total_mean += g.mult * (surv.mean + p_fail * gap)
+        total_var += g.mult * (p_surv * surv.var + p_fail * fail.var
+                               + p_surv * p_fail * gap * gap)
+        log_total += g.mult * (surv.log_mass + ratio)
+        log_ratio += g.mult * ratio
+        log_mult = math.log(g.mult)
+        failing.append((log_mult + odds - ratio,
+                        log_mult + (odds if odds < -36.0 else math.log(ratio)),
+                        gap, fail.var - surv.var + p_surv * gap * gap))
+    # ln(1 - e^-R), R = sum_g m_g ln(T_g / S_g), from ln R; below 1e-10 it is ln R
+    log_r = log_sum_exp(np.array([row[1] for row in failing])) if failing else LOG_ZERO
+    log_fail_mass = log_r if log_r < -23.0 else log1mexp(-math.exp(log_r))
+    excess = 0.0
+    fail_var = surv_var
+    for log_weight, _, gap, extra in failing:
+        weight = math.exp(log_weight - log_fail_mass)
+        excess += weight * gap
+        fail_var += weight * extra
+    fail_var = max(fail_var - math.exp(-log_ratio) * excess * excess, 0.0)
+    return _TiltMoments(tilted, surv_mean, surv_var, surv_mean + excess, fail_var,
+                        total_mean, total_var, log_total, log_ratio)
 
 
-def _log_truncated_coefficient(runs: Sequence[tuple[int, int, int]],
-                               target: int) -> float:
-    """log of the z^target coefficient of prod_mu sum_{j<=cap_mu} C(n_mu,j) z^j.
+def _saddle_tilt(mean_var, target: int, u: float) -> float:
+    """Tilt u at which the tilted mean lies within a quarter deviation of target.
 
-    ``runs`` holds (size, cap, multiplicity) in committee order.
+    Safeguarded Newton on the mean, which increases in u with slope equal
+    to the variance: a step leaving the bracket known so far is replaced by
+    bisection.  When target is an end of the support the mean only tends to
+    it, and the search stops once it is within 1/4 of it.
     """
-    state = np.full(target + 1, LOG_ZERO)
-    state[0] = 0.0
-    for size, cap, mult in runs:
-        top = min(cap, size, target)
-        row = np.array(log_binomial_coefficients(size)[: top + 1])
-        for _ in range(mult):
-            state = _log_convolve_truncated(state, row)
-    return float(state[target])
+    lo, hi = -_TILT_BOUND, _TILT_BOUND
+    for _ in range(_TILT_STEPS):
+        mean, var = mean_var(u)
+        gap = mean - target
+        if 16.0 * gap * gap <= max(var, 1.0) or hi - lo < 1e-9:
+            break
+        if gap < 0.0:
+            lo = u
+        else:
+            hi = u
+        step = u - gap / var if var > 0.0 else math.nan
+        u = step if lo < step < hi else 0.5 * (lo + hi)
+    return u
 
 
-def delta_exact_hypergeometric(query: FailureQuery, *,
-                               node_cap: int = DP_NODE_CAP) -> DeltaResult:
+def _coefficient(spectrum: np.ndarray, index: int, length: int) -> float:
+    """ln of coefficient ``index`` of the real sequence whose rfft is ``spectrum``."""
+    value = float(irfft(spectrum, length)[index])
+    if not value > 0.0:
+        raise ArithmeticError(
+            f"z^{index} coefficient lost to rounding in the tilted FFT ({value!r})")
+    return math.log(value)
+
+
+def _triangular_power(a, b, d, power: int):
+    """[[a, b], [0, d]] ** power for elementwise entries, by binary powering.
+
+    Only products and sums of the entries appear, so no subtraction cancels
+    the positive terms of the upper-right entry.
+    """
+    result = None
+    while True:
+        if power & 1:
+            result = (a, b, d) if result is None else (
+                result[0] * a, result[0] * b + result[1] * d, result[2] * d)
+        power >>= 1
+        if not power:
+            return result
+        a, b, d = a * a, a * b + b * d, d * d
+
+
+def _spectra(g: _CapGroup, gt: _GroupTilt, length: int):
+    """rfft of a group's tilted S, F and T rows; F is None when it cannot fail."""
+    s_hat = rfft(gt.surv.row, length)
+    if gt.fail is None:
+        return s_hat, None, s_hat
+    f_row = np.zeros(g.top + 1)
+    f_row[g.cap + 1:] = gt.fail.row
+    f_hat = rfft(f_row, length)
+    return s_hat, f_hat, math.exp(-gt.log_ratio) * s_hat + math.exp(gt.log_p_fail) * f_hat
+
+
+def _normalised(log_side: float, total: np.ndarray, tilt: _TiltMoments, u: float,
+                target: int, length: int, log_norm: float) -> float:
+    """ln probability from a side's z^M coefficient, tilted and scaled like T.
+
+    Divided by the z^M coefficient of prod_g T_g^m_g at the same tilt when
+    that one lies within two deviations of its mean: rounding in the shared
+    rows then cancels, so a probability near 1 keeps full absolute accuracy.
+    Otherwise the tilt is undone in log domain and C(N, M) divides.
+    """
+    if (tilt.total_mean - target) ** 2 <= 4.0 * tilt.total_var:
+        return log_side - _coefficient(total, target, length)
+    return log_side + tilt.log_total - target * u - log_norm
+
+
+def _log_survival(groups: Sequence[_CapGroup], target: int, u: float, length: int,
+                  log_norm: float) -> float:
+    """ln P(survival): z^M coefficient of prod_g S_g^m_g at tilt u."""
+    tilt = _tilt_moments(groups, u)
+    side = total = 1.0
+    for g, gt in zip(groups, tilt.groups):
+        s_hat, _, t_hat = _spectra(g, gt, length)
+        side = side * s_hat ** g.mult
+        total = total * t_hat ** g.mult
+    # S_g rows have unit mass; relative to T_g each weighs e^-(ln T_g - ln S_g)
+    log_side = _coefficient(side, target, length) - tilt.log_ratio
+    return _normalised(log_side, total, tilt, u, target, length, log_norm)
+
+
+def _log_failure(groups: Sequence[_CapGroup], target: int, u: float, length: int,
+                 log_norm: float) -> float:
+    """ln P(failure): upper-right z^M coefficient of prod_g [[S, F], [0, T]]^m_g.
+
+    F_g is carried at unit mass with its own log scale ln(F_g / T_g), and the
+    accumulated entry with the largest scale so far: a failure far below
+    1e-300 at this tilt would otherwise underflow to zero.
+    """
+    tilt = _tilt_moments(groups, u)
+    corner = total = 1.0
+    side, scale = 0.0, LOG_ZERO
+    for g, gt in zip(groups, tilt.groups):
+        s_hat, f_hat, t_hat = _spectra(g, gt, length)
+        if f_hat is None:
+            power = s_hat ** g.mult
+            corner, side, total = corner * power, side * power, total * power
+            continue
+        a, b, d = _triangular_power(math.exp(-gt.log_ratio) * s_hat, f_hat, t_hat,
+                                    g.mult)
+        new_scale = max(scale, gt.log_p_fail)
+        side = (corner * b * math.exp(gt.log_p_fail - new_scale)
+                + side * d * math.exp(scale - new_scale))
+        corner, total, scale = corner * a, total * d, new_scale
+    log_side = _coefficient(side, target, length) + scale
+    return _normalised(log_side, total, tilt, u, target, length, log_norm)
+
+
+def delta_exact_hypergeometric(query: FailureQuery) -> DeltaResult:
     """Exact failure probability under the exactly-M model.
 
-    The survival probability is the z^M coefficient of the product of
-    per-committee generating polynomials truncated at the allowed counts,
-    normalised by C(N, M).  The coefficient is accumulated committee by
-    committee in log domain: O(K * M * max allowed count) time, O(M) space.
-    Above ``node_cap`` nodes the cost grows quadratically; raise the cap
-    explicitly if you really want the DP there, otherwise use the
-    saddle-point asymptotic.
+    Survival is the z^M coefficient of the product of per-committee
+    generating polynomials truncated at the allowed counts, and failure
+    that of the product of their failing extensions (see above), each
+    normalised by C(N, M).  Each is read from FFTs of length L, a fast
+    length above max(M, D - M) with D <= N the degree of the truncated
+    product, at its own saddle-point tilt found by a safeguarded Newton
+    search on the tilted mean: O(groups * L log L) time and O(L) memory at
+    any node count.  Two answers are exact and need no transform: 0 when no
+    committee can exceed its allowance, 1 when M exceeds the total
+    allowance.
     """
     m = _require_exact(query)
     layout = query.layout
     n_total = layout.total
-    if n_total > node_cap:
-        raise ValueError(
-            f"{n_total} nodes exceeds the DP cap of {node_cap}; raise node_cap "
-            "or use the asymptotic evaluator"
-        )
-    runs = [(size, floor_rate_multiple(query.threshold, size), mult)
-            for size, mult in layout.runs]
-    if all(cap >= size for size, cap, _ in runs):
-        return _result_from_log_survival("exact-hypergeometric", 0.0)
-    if m <= min(cap for _, cap, _ in runs):
-        # no committee can exceed its allowance even if every adversary lands in it
-        return _result_from_log_survival("exact-hypergeometric", 0.0)
-    log_numer = _log_truncated_coefficient(runs, m)
-    log_survival = log_numer - log_binomial_coefficient(n_total, m)
-    warnings = ()
-    if log_survival > 1e-9:
-        warnings = (f"survival log-value {log_survival:.3e} clamped to 0",)
-    return _result_from_log_survival("exact-hypergeometric",
-                                     min(log_survival, 0.0), warnings=warnings)
+    groups = []
+    for size, mult in layout.runs:
+        top = min(size, m)
+        cap = min(floor_rate_multiple(query.threshold, size), top)
+        log_coeffs = log_binomial_coefficients(size)[: top + 1]
+        counts = np.arange(top + 1, dtype=np.float64)
+        groups.append(_CapGroup(cap, top, mult, log_coeffs, counts, counts * counts))
+    if all(g.cap == g.top for g in groups):
+        return _result_from_both_sides("exact-hypergeometric", LOG_ZERO, 0.0)
+    degree = sum(g.mult * g.top for g in groups)
+    if m > sum(g.mult * g.cap for g in groups):
+        return _result_from_both_sides("exact-hypergeometric", 0.0, LOG_ZERO)
+    # no z^(M +- L) term exists, so the length-L circular product has no alias at z^M
+    length = next_fast_len(max(m, degree - m) + 1, real=True)
+    log_norm = log_binomial_coefficient(n_total, m)
+    u0 = math.log(m / (n_total - m))
+
+    def surv_moments(u):
+        tilt = _tilt_moments(groups, u)
+        return tilt.surv_mean, tilt.surv_var
+
+    def fail_moments(u):
+        tilt = _tilt_moments(groups, u)
+        return tilt.fail_mean, tilt.fail_var
+
+    log_survival = _log_survival(groups, m, _saddle_tilt(surv_moments, m, u0),
+                                 length, log_norm)
+    log_delta = _log_failure(groups, m, _saddle_tilt(fail_moments, m, u0),
+                             length, log_norm)
+    return _result_from_both_sides("exact-hypergeometric", log_delta, log_survival)
 
 
 # ---------------------------------------------------------------------------

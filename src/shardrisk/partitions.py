@@ -280,15 +280,6 @@ def _marginal_log_pmf_primary(n_alpha: int, size: int, total: int, m: int) -> fl
     )
 
 
-def _marginal_log_pmf_alternate(n_alpha: int, size: int, total: int, m: int) -> float:
-    # same quantity through the complementary grouping of the factors
-    return (
-        log_binomial_coefficient(m, n_alpha)
-        + log_binomial_coefficient(total - m, size - n_alpha)
-        - log_binomial_coefficient(total, size)
-    )
-
-
 def hypergeometric_marginal_log_pmf(
     n_alpha: int, committee_size: int, layout_total: int, adversary_count: int
 ) -> float:
@@ -310,11 +301,4 @@ def hypergeometric_marginal_log_pmf(
         raise ValueError(f"adversary count {m} exceeds node total {total}")
     if j > size or j > m or m - j > total - size:
         return LOG_ZERO
-    value = _marginal_log_pmf_primary(j, size, total, m)
-    assert _marginal_forms_agree(j, size, total, m, value)
-    return min(value, 0.0)
-
-
-def _marginal_forms_agree(j, size, total, m, value) -> bool:
-    alt = _marginal_log_pmf_alternate(j, size, total, m)
-    return abs(alt - value) <= 1e-12 * max(1.0, abs(value))
+    return min(_marginal_log_pmf_primary(j, size, total, m), 0.0)

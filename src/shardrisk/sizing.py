@@ -18,12 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .failure import (
-    DP_NODE_CAP,
-    FailureQuery,
-    delta_exact_binomial,
-    delta_exact_hypergeometric,
-)
+from .failure import FailureQuery, delta_exact_binomial, delta_exact_hypergeometric
 from .partitions import (
     AverageAdversary,
     CommitteeLayout,
@@ -32,7 +27,6 @@ from .partitions import (
     layout_from_split,
 )
 from .probcore import RateLike, kl_divergence, rate_as_float
-from .saddle import delta_asymptotic
 
 __all__ = [
     "SizeBracket",
@@ -131,24 +125,11 @@ def _uniform_exact_delta(
     size: int,
     threshold: RateLike,
     adversary_rate: RateLike,
-    dp_node_cap: int,
 ) -> float:
-    total = committees * size
-    m = exact_count_from_rate(total, adversary_rate)
-    if m == 0:
-        return 0.0
-    if m == total:
-        return 1.0
     layout = CommitteeLayout.from_runs(((size, committees),))
-    if total <= dp_node_cap:
-        query = FailureQuery(layout, ExactAdversary(m), threshold)
-        return delta_exact_hypergeometric(query, node_cap=dp_node_cap).delta
-    try:
-        return delta_asymptotic(layout, m, threshold).delta
-    except ValueError:
-        # no tilt: the per-committee allowance cannot host the adversary
-        # mass, so failure is certain
-        return 1.0
+    m = exact_count_from_rate(layout.total, adversary_rate)
+    return delta_exact_hypergeometric(
+        FailureQuery(layout, ExactAdversary(m), threshold)).delta
 
 
 def min_committee_size(
@@ -158,7 +139,6 @@ def min_committee_size(
     adversary_rate: RateLike,
     model: str = "average",
     *,
-    dp_node_cap: int = DP_NODE_CAP,
     max_size: int = 1_000_000,
     require_stable: bool = True,
 ) -> int:
@@ -171,8 +151,8 @@ def min_committee_size(
 
     ``model`` selects the evaluator: "average" uses the exact
     product-binomial probability; "exact" pins the adversary count to
-    round(n K P), evaluated by the hypergeometric DP while the node total
-    is within ``dp_node_cap`` and by the saddle-point asymptotic above it.
+    round(n K P), evaluated by the exact hypergeometric evaluator at every
+    node total.
     """
     k = int(committees)
     if k < 1:
@@ -192,7 +172,7 @@ def min_committee_size(
             return delta_exact_binomial(query).delta
     else:
         def delta_at(n: int) -> float:
-            return _uniform_exact_delta(k, n, threshold, adversary_rate, dp_node_cap)
+            return _uniform_exact_delta(k, n, threshold, adversary_rate)
 
     def feasible(n: int) -> bool:
         if delta_at(n) > target:
@@ -202,7 +182,7 @@ def min_committee_size(
         return True
 
     if model == "exact":
-        # the DP evaluator is costly; bracket with the (dominating) average
+        # the exact evaluator is costlier; bracket with the (dominating) average
         # model and bisect down, then repair locally
         hi = min_committee_size(
             k, delta_target, threshold, adversary_rate, "average",

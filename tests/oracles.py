@@ -14,7 +14,12 @@ from itertools import product
 import numpy as np
 
 from shardrisk.partitions import CommitteeLayout
-from shardrisk.probcore import RateLike, floor_rate_multiple, log_binomial_coefficients
+from shardrisk.probcore import (
+    RateLike,
+    floor_rate_multiple,
+    log_binomial_coefficient,
+    log_binomial_coefficients,
+)
 
 
 def partitions_up_to(n_max: int):
@@ -126,3 +131,57 @@ def curvature_at_tilt(
         first, second = log_generating_derivative_ratios(size, z, threshold)
         acc += mult * (second - first * first) / n_total
     return acc
+
+
+def _truncated_product(a: list[int], b: list[int], m: int) -> list[int]:
+    """Coefficients 0..m of the product of integer polynomials a and b."""
+    return [
+        sum(a[i] * b[k - i] for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1))
+        for k in range(min(m, len(a) + len(b) - 2) + 1)
+    ]
+
+
+def exact_m_failure_survival(runs, count: int, threshold: Fraction) -> tuple[int, int, int]:
+    """(failing, surviving, total) integer weights of the exactly-M model.
+
+    ``runs`` holds (size, multiplicity) pairs.  The surviving weight is the
+    z^M coefficient of prod (sum_{j<=floor(A n)} C(n, j) z^j), built in
+    Python integers, each run's row raised to its multiplicity by repeated
+    squaring; the failing weight is C(N, M) minus it.  Integer subtraction is
+    exact, so both sides are exact however close the probability is to 0 or
+    1: delta = failing / total and survival = surviving / total.
+    """
+    m = int(count)
+    n_total = sum(size * mult for size, mult in runs)
+    state = [1]
+    for size, mult in runs:
+        cap = min(int(Fraction(threshold) * size), size, m)
+        row = [math.comb(size, j) for j in range(cap + 1)]
+        while mult:
+            if mult & 1:
+                state = _truncated_product(state, row, m)
+            mult >>= 1
+            if mult:
+                row = _truncated_product(row, row, m)
+    surviving = state[m] if m < len(state) else 0
+    total = math.comb(n_total, m)
+    return total - surviving, surviving, total
+
+
+def log_ratio(numerator: int, denominator: int) -> float:
+    """ln(numerator / denominator) of positive integers, for any magnitude."""
+    return math.log(numerator) - math.log(denominator)
+
+
+def hypergeometric_marginal_log_pmf_alternate(n_alpha: int, size: int, total: int,
+                                              m: int) -> float:
+    """ln P(count = n_alpha) of one committee under the exactly-M model.
+
+    C(M, j) C(N - M, n - j) / C(N, n): the complementary grouping of the
+    factors in ``hypergeometric_marginal_log_pmf``, to cross-check it.
+    """
+    return (
+        log_binomial_coefficient(m, n_alpha)
+        + log_binomial_coefficient(total - m, size - n_alpha)
+        - log_binomial_coefficient(total, size)
+    )

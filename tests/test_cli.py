@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from shardrisk import cli
 from shardrisk.cli import main
 
 
@@ -93,6 +94,30 @@ class TestDeltaCommand:
         )
         assert code == 1
         assert "error" in err
+
+
+class TestInternalErrors:
+    def test_bounds_at_ten_thousand_nodes(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bounds", "--nodes", "10000", "--committees", "100",
+            "--adversary-frac", "1/4", "--threshold", "1/3",
+        )
+        assert code == 0 and err == ""
+        assert len(parse_csv(out)) == 9
+
+    def test_internal_error_exits_one_without_traceback(self, capsys, monkeypatch):
+        def broken(query):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(cli, "delta_exact_hypergeometric", broken)
+        code, out, err = run_cli(
+            capsys, "delta", "--layout", "2,2", "--adversary-count", "2",
+            "--threshold", "1/2", "--method", "exact-hypergeometric",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "RuntimeError" in err and "injected fault" in err
+        assert "Traceback" not in err
 
 
 class TestBoundsCommand:

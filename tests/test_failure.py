@@ -3,8 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import binomial_failure_enumeration, hypergeometric_failure_table
+from oracles import (
+    binomial_failure_enumeration,
+    exact_m_failure_survival,
+    hypergeometric_failure_table,
+    log_ratio,
+)
 from shardrisk.failure import (
     DeltaResult,
     FailureQuery,
@@ -22,7 +29,7 @@ from shardrisk.partitions import (
     ExactAdversary,
     layout_from_split,
 )
-from shardrisk.probcore import binomial_tail_and_cdf, kl_divergence
+from shardrisk.probcore import LOG_ZERO, binomial_tail_and_cdf, kl_divergence
 
 THIRD = Fraction(1, 3)
 HALF = Fraction(1, 2)
@@ -93,9 +100,18 @@ class TestDeltaExactHypergeometric:
     def test_saturated_committees(self):
         assert delta_exact_hypergeometric(exact_query((3, 3), 6)).delta == 1.0
 
-    def test_node_cap_enforced(self):
-        with pytest.raises(ValueError):
-            delta_exact_hypergeometric(exact_query((200, 200), 100), node_cap=300)
+    def test_allowances_below_adversary_count_fail_exactly(self):
+        # allowances 1 + 1 cannot hold 3 adversaries
+        result = delta_exact_hypergeometric(exact_query((3, 3), 3))
+        assert result.delta == 1.0 and result.log_survival == LOG_ZERO
+
+    def test_large_network_without_node_cap(self):
+        layout = layout_from_split(200_000, 100)
+        result = delta_exact_hypergeometric(
+            FailureQuery(layout, ExactAdversary(50_000), THIRD))
+        assert math.isfinite(result.log_delta) and math.isfinite(result.log_survival)
+        assert math.exp(result.log_delta) + math.exp(result.log_survival) == pytest.approx(
+            1.0, abs=1e-12)
 
     @pytest.mark.parametrize("sizes", [(2, 2), (3, 4), (1, 2, 3), (4, 4, 4)])
     @pytest.mark.parametrize("threshold", [THIRD, HALF])
@@ -114,6 +130,59 @@ class TestDeltaExactHypergeometric:
             for a in thresholds
         ]
         assert all(x >= y - 1e-12 for x, y in zip(values, values[1:]))
+
+
+@st.composite
+def layouts_with_count(draw):
+    sizes = tuple(draw(st.lists(st.integers(1, 30), min_size=1, max_size=5)))
+    return sizes, draw(st.integers(0, sum(sizes)))
+
+
+def assert_matches_exact_oracle(runs, count, threshold=THIRD):
+    """Failure and survival each within 1e-9 relative of big-integer arithmetic."""
+    fail, surv, total = exact_m_failure_survival(runs, count, threshold)
+    query = FailureQuery(CommitteeLayout.from_runs(runs), ExactAdversary(count), threshold)
+    result = delta_exact_hypergeometric(query)
+    if fail == 0:
+        assert result.delta == 0.0 and result.log_survival == 0.0
+    elif surv == 0:
+        assert result.delta == 1.0 and result.log_survival == LOG_ZERO
+    else:
+        assert result.log_delta == pytest.approx(log_ratio(fail, total), abs=1e-9)
+        assert result.log_survival == pytest.approx(log_ratio(surv, total), abs=1e-9)
+    return result
+
+
+class TestExactMOracle:
+    """Both sides of the exactly-M evaluator against exact integer weights.
+
+    Failure derived as 1 - survival gives 0.0 at N = 3000, K = 3, where the
+    true value is 2.63e-13, and errs by 8e-4 relative on two committees of
+    500 with M = 250.  At 8.39e-301, failure underflows to 0 unless each
+    committee's failing row carries its own scale.
+    """
+
+    @pytest.mark.parametrize("nodes, committees, rate, delta", [
+        (3000, 3, Fraction(1, 4), 2.63e-13),
+        (6000, 8, Fraction(1, 4), 1.27e-7),
+        (1000, 5, Fraction(1, 10), 4.6e-27),
+        (8000, 4, Fraction(1, 10), 8.39e-301),
+    ])
+    def test_split_layouts(self, nodes, committees, rate, delta):
+        runs = layout_from_split(nodes, committees).runs
+        result = assert_matches_exact_oracle(runs, int(nodes * rate))
+        assert result.delta == pytest.approx(delta, rel=1e-2)
+
+    def test_two_committees_of_five_hundred(self):
+        result = assert_matches_exact_oracle(((500, 2),), 250)
+        assert result.delta == pytest.approx(1.0258257659e-9, rel=1e-10)
+
+    @given(case=layouts_with_count(), threshold=st.sampled_from((Fraction(1, 4), THIRD, HALF)))
+    @example(case=((5, 3, 5, 5), 7), threshold=THIRD)
+    @settings(max_examples=80, deadline=None)
+    def test_small_unsorted_layouts(self, case, threshold):
+        sizes, count = case
+        assert_matches_exact_oracle(CommitteeLayout(sizes).runs, count, threshold)
 
 
 class TestTheorem1Bounds:

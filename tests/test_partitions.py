@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from oracles import hypergeometric_marginal_log_pmf_alternate
 from shardrisk.partitions import (
     AverageAdversary,
     CommitteeLayout,
@@ -16,10 +17,7 @@ from shardrisk.partitions import (
     multivariate_hypergeometric_log_pmf,
     product_binomial_log_pmf,
 )
-from shardrisk.partitions import (
-    _marginal_log_pmf_alternate,
-    _marginal_log_pmf_primary,
-)
+from shardrisk.partitions import _marginal_log_pmf_primary
 from shardrisk.probcore import LOG_ZERO
 
 
@@ -185,8 +183,19 @@ class TestHypergeometricMarginal:
             lo, hi = max(0, m - (total - size)), min(size, m)
             j = int(rng.integers(lo, hi + 1))
             a = _marginal_log_pmf_primary(j, size, total, m)
-            b = _marginal_log_pmf_alternate(j, size, total, m)
+            b = hypergeometric_marginal_log_pmf_alternate(j, size, total, m)
             assert a == pytest.approx(b, abs=1e-12)
+
+    def test_closed_forms_agree_at_lgamma_scale(self):
+        # committees of 100 in N = 1e4 with M = 2500: at j = 34..43 the forms
+        # differ by up to 1.5e-11, about one ulp of lgamma(N + 1)
+        total, size, m = 10_000, 100, 2500
+        tolerance = 16 * math.ulp(math.lgamma(total + 1))
+        for j in range(34, 44):
+            a = _marginal_log_pmf_primary(j, size, total, m)
+            b = hypergeometric_marginal_log_pmf_alternate(j, size, total, m)
+            assert abs(a - b) <= tolerance, j
+            assert hypergeometric_marginal_log_pmf(j, size, total, m) == a
 
     def test_marginal_matches_joint_sum(self):
         layout = CommitteeLayout((3, 4, 2))
