@@ -43,8 +43,6 @@ from .simulate import (
     DeltaEstimate,
     SimulationPlan,
     estimate_delta,
-    sample_counts_average,
-    sample_counts_exact,
 )
 from .sizing import (
     SizeBracket,
@@ -89,8 +87,6 @@ __all__ = [
     "multinomial_log_pmf",
     "multivariate_hypergeometric_log_pmf",
     "product_binomial_log_pmf",
-    "sample_counts_average",
-    "sample_counts_exact",
     "size_bracket",
     "solve_saddle",
     "stable_complement_product",

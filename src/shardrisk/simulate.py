@@ -5,6 +5,22 @@ substream keyed by (seed, chunk index).  The chunk grid depends only on the
 sample count, never on the worker pool, so a run with 8 workers produces
 bit-identical failure counts to a run with 1.  Failure counting is an
 order-independent integer sum over chunks.
+
+Only whether a committee exceeds its cap is counted, never its count.  In
+the average model each committee draws one uniform u and fails when
+u > P(Bin(n, p) <= cap): the inversion method stopped at the cap, whose
+CDF is computed once per run of equal (size, rate) committees.  numpy's
+binomial sampler inverts the same uniform when p <= 1/2 and n p <= 30, so
+there the failure counts equal those of drawing full binomial counts,
+except for a uniform within rounding of the CDF (about 1e-16 per draw).
+The realisations differ, with the same law, where numpy takes another
+path: n p > 30 (BTPE), p > 1/2 (inversion of n - X) and p = 0 (no draw).
+The exactly-M model draws multivariate hypergeometric counts and compares
+them with the caps.
+
+A chunk draws its variates in blocks of at most ``BLOCK_BYTES`` from its
+one generator, so it holds O(BLOCK_BYTES) of variates at any committee
+count, and the blocks concatenate to the draws of a single call.
 """
 
 from __future__ import annotations
@@ -12,23 +28,25 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 from .failure import FailureQuery
-from .partitions import AverageAdversary, CommitteeLayout, ExactAdversary
-from .probcore import floor_rate_multiple
+from .partitions import AverageAdversary, ExactAdversary
+from .probcore import binomial_tail_and_cdf, floor_rate_multiple
 
 __all__ = [
     "DeltaEstimate",
     "SimulationPlan",
     "estimate_delta",
-    "sample_counts_average",
-    "sample_counts_exact",
 ]
 
 #: Samples per RNG substream; fixed so results never depend on worker count.
 CHUNK_SAMPLES = 32768
+
+#: Bytes of variates a chunk holds at once, whatever the committee count.
+BLOCK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -60,50 +78,59 @@ class DeltaEstimate:
     ci95: tuple[float, float]
 
 
-def sample_counts_average(
-    layout: CommitteeLayout, rates, rng: np.random.Generator
-) -> np.ndarray:
-    """One draw of per-committee adversary counts, independent-rate model."""
-    adversary = rates if isinstance(rates, AverageAdversary) else AverageAdversary(rates)
-    per_committee = np.asarray(adversary.rates_for(layout.committee_count))
-    return rng.binomial(layout.sizes_array(), per_committee)
-
-
-def sample_counts_exact(
-    layout: CommitteeLayout, adversary_count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """One draw of per-committee adversary counts, exactly-M model.
-
-    Sequential removal without replacement: committee by committee, each
-    receives a univariate hypergeometric share of the remaining adversaries
-    (the generator's multivariate hypergeometric marginals method).
-    """
-    m = int(adversary_count)
-    if not 0 <= m <= layout.total:
-        raise ValueError(f"adversary_count {m} outside [0, {layout.total}]")
-    return rng.multivariate_hypergeometric(layout.sizes_array(), m)
-
-
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(chunk_index,))
     return np.random.Generator(np.random.Philox(seq))
 
 
+def _cap_cdfs(query: FailureQuery) -> np.ndarray:
+    """P(count <= cap) per committee under the average model.
+
+    Evaluated once per run of equal (size, rate) neighbours and repeated
+    over its committees; +inf where the cap reaches the committee size, so
+    that committee draws its uniform but never fails.
+    """
+    layout = query.layout
+    adversary = query.adversary
+    if isinstance(adversary.rate, tuple):
+        pairs = zip(layout.sizes, adversary.rates_for(layout.committee_count))
+        runs = [(pair, sum(1 for _ in group)) for pair, group in groupby(pairs)]
+    else:
+        rate = float(adversary.rate)
+        runs = [((size, rate), mult) for size, mult in layout.runs]
+    cdf = {}
+    for size, rate in dict.fromkeys(pair for pair, _ in runs):
+        cap = floor_rate_multiple(query.threshold, size)
+        cdf[size, rate] = (math.inf if cap >= size else
+                           math.exp(binomial_tail_and_cdf(size, rate, cap)[0]))
+    return np.repeat([cdf[pair] for pair, _ in runs], [mult for _, mult in runs])
+
+
 def _failure_count_chunk(plan: SimulationPlan, chunk_index: int, count: int,
-                         caps: np.ndarray) -> int:
+                         limits: np.ndarray) -> int:
+    """Failed samples among ``count`` drawn from the chunk's own stream.
+
+    Draws ``BLOCK_BYTES`` of variates at a time; consecutive blocks from one
+    generator are the draws a single call would make.  A sample fails when
+    some committee's variate exceeds its limit: a uniform against the cap
+    CDF (average model) or an adversary count against the cap (exactly-M).
+    """
     rng = _chunk_rng(plan.seed, chunk_index)
     layout = plan.query.layout
     adversary = plan.query.adversary
+    k = layout.committee_count
     if isinstance(adversary, AverageAdversary):
-        rates = np.asarray(adversary.rates_for(layout.committee_count))
-        counts = rng.binomial(layout.sizes_array(), rates,
-                              size=(count, layout.committee_count))
-    elif isinstance(adversary, ExactAdversary):
-        counts = rng.multivariate_hypergeometric(
-            layout.sizes_array(), adversary.count, size=count)
+        def draw(rows):
+            return rng.random((rows, k))
     else:
-        raise ValueError(f"unsupported adversary model {adversary!r}")
-    return int((counts > caps).any(axis=1).sum())
+        sizes = layout.sizes_array()
+
+        def draw(rows):
+            return rng.multivariate_hypergeometric(sizes, adversary.count, size=rows)
+    rows = max(1, BLOCK_BYTES // (8 * k))
+    # one expression per block, so no block outlives its comparison
+    return sum(int((draw(min(rows, count - start)) > limits).any(axis=1).sum())
+               for start in range(0, count, rows))
 
 
 def _confidence_interval(failures: int, samples: int, delta_hat: float,
@@ -123,13 +150,15 @@ def estimate_delta(plan: SimulationPlan) -> DeltaEstimate:
 
     Reproducible: the result is a pure function of (query, samples, seed).
     """
-    layout = plan.query.layout
-    sizes, mults = zip(*layout.runs)
-    caps = np.repeat(
-        np.array([floor_rate_multiple(plan.query.threshold, s) for s in sizes],
-                 dtype=np.int64),
-        mults,
-    )
+    query = plan.query
+    if isinstance(query.adversary, AverageAdversary):
+        limits = _cap_cdfs(query)
+    elif isinstance(query.adversary, ExactAdversary):
+        sizes, mults = zip(*query.layout.runs)
+        limits = np.repeat(
+            [floor_rate_multiple(query.threshold, s) for s in sizes], mults)
+    else:
+        raise ValueError(f"unsupported adversary model {query.adversary!r}")
     chunks = []
     remaining = plan.samples
     index = 0
@@ -141,13 +170,13 @@ def estimate_delta(plan: SimulationPlan) -> DeltaEstimate:
 
     if plan.workers == 1 or len(chunks) == 1:
         failures = sum(
-            _failure_count_chunk(plan, idx, count, caps) for idx, count in chunks
+            _failure_count_chunk(plan, idx, count, limits) for idx, count in chunks
         )
     else:
         with ThreadPoolExecutor(max_workers=plan.workers) as pool:
             failures = sum(
                 pool.map(
-                    lambda item: _failure_count_chunk(plan, item[0], item[1], caps),
+                    lambda item: _failure_count_chunk(plan, item[0], item[1], limits),
                     chunks,
                 )
             )

@@ -13,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from shardrisk.partitions import CommitteeLayout
+from shardrisk.partitions import AverageAdversary, CommitteeLayout
 from shardrisk.probcore import (
     RateLike,
     floor_rate_multiple,
@@ -185,3 +185,27 @@ def hypergeometric_marginal_log_pmf_alternate(n_alpha: int, size: int, total: in
         + log_binomial_coefficient(total - m, size - n_alpha)
         - log_binomial_coefficient(total, size)
     )
+
+
+def sample_counts_average(
+    layout: CommitteeLayout, rates, rng: np.random.Generator
+) -> np.ndarray:
+    """One draw of per-committee adversary counts, independent-rate model."""
+    adversary = rates if isinstance(rates, AverageAdversary) else AverageAdversary(rates)
+    per_committee = np.asarray(adversary.rates_for(layout.committee_count))
+    return rng.binomial(layout.sizes_array(), per_committee)
+
+
+def sample_counts_exact(
+    layout: CommitteeLayout, adversary_count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """One draw of per-committee adversary counts, exactly-M model.
+
+    Sequential removal without replacement: committee by committee, each
+    receives a univariate hypergeometric share of the remaining adversaries
+    (the generator's multivariate hypergeometric marginals method).
+    """
+    m = int(adversary_count)
+    if not 0 <= m <= layout.total:
+        raise ValueError(f"adversary_count {m} outside [0, {layout.total}]")
+    return rng.multivariate_hypergeometric(layout.sizes_array(), m)

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import time
+import tracemalloc
 
 import pytest
 
@@ -118,6 +120,25 @@ class TestInternalErrors:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "RuntimeError" in err and "injected fault" in err
         assert "Traceback" not in err
+
+    def test_exactly_m_beyond_physical_memory_refused(self, capsys):
+        # 1e9 committees of 1000: the transform would need about 1e14 bytes
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            code, out, err = run_cli(
+                capsys, "delta", "--nodes", "1000000000000", "--committees",
+                "1000000000", "--adversary-frac", "1/4", "--threshold", "1/3",
+                "--method", "exact-hypergeometric",
+            )
+            elapsed = time.perf_counter() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "physical memory" in err
+        assert elapsed < 5.0 and peak < 1 << 20
 
 
 class TestBoundsCommand:

@@ -15,6 +15,7 @@ from oracles import (
 from shardrisk.failure import (
     DeltaResult,
     FailureQuery,
+    _marginal_log_tail,
     delta_exact_binomial,
     delta_exact_hypergeometric,
     failure_threshold,
@@ -27,9 +28,15 @@ from shardrisk.partitions import (
     AverageAdversary,
     CommitteeLayout,
     ExactAdversary,
+    hypergeometric_marginal_log_pmf,
     layout_from_split,
 )
-from shardrisk.probcore import LOG_ZERO, binomial_tail_and_cdf, kl_divergence
+from shardrisk.probcore import (
+    LOG_ZERO,
+    binomial_tail_and_cdf,
+    kl_divergence,
+    log_sum_exp,
+)
 
 THIRD = Fraction(1, 3)
 HALF = Fraction(1, 2)
@@ -289,6 +296,18 @@ class TestUnionBounds:
         fixed = union_bound_fixed_sizes(avg_query((50, 50), 0.25))
         assert tight.raw_log_delta >= fixed.raw_log_delta - 1e-12
         assert simple.raw_log_delta >= tight.raw_log_delta - 1e-12
+
+    def test_marginal_tail_row_matches_per_count_sum(self):
+        # the log-gamma row against a per-count sum of the closed form, at
+        # the tolerance the closed forms themselves are held to
+        for total, size, m, cap in ((10_000, 100, 2500, 33), (10_000, 100, 2500, 50),
+                                    (3000, 1000, 750, 333), (60, 50, 55, 20),
+                                    (200, 7, 3, 1), (20, 5, 18, 3)):
+            terms = [hypergeometric_marginal_log_pmf(j, size, total, m)
+                     for j in range(cap + 1, min(size, m) + 1)]
+            expected = min(log_sum_exp(np.array(terms)), 0.0)
+            tolerance = 16 * math.ulp(math.lgamma(total + 1))
+            assert abs(_marginal_log_tail(size, total, m, cap) - expected) <= tolerance
 
     def test_hypergeometric_tail_sum_tight_for_disjoint_events(self):
         exact_sum, _ = union_bound_hypergeometric(exact_query((2, 2), 2, HALF))

@@ -185,3 +185,27 @@ def test_simulate_output_unchanged(capsys, model, workers):
                  "--samples", "100000", "--seed", "20261018", "--workers", workers])
     assert code == 0
     assert capsys.readouterr().out == _SIMULATE_GOLDEN[model]
+
+
+# CSV printed by `simulate` on 1000 committees of 10 before each chunk
+# compared uniforms with cap CDFs, in blocks: the average model spans two
+# chunks, the exactly-M model one, each of many blocks.
+_THOUSAND_GOLDEN = {
+    ("--adversary-frac", "1/10", "--samples", "40960"): (
+        "delta_hat,std_error,ci_low,ci_high,failures,samples\n"
+        "0.138134765625,0.0017048697495864137,0.1347932209158106,0.14147631033418936,"
+        "5658,40960\n"),
+    ("--adversary-count", "1000", "--samples", "2048"): (
+        "delta_hat,std_error,ci_low,ci_high,failures,samples\n"
+        "0.13427734375,0.007534002955917109,0.11951069795640247,0.14904398954359754,"
+        "275,2048\n"),
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("model", sorted(_THOUSAND_GOLDEN))
+def test_simulate_blocks_reproduce_single_draw(capsys, model, workers):
+    code = main(["simulate", "--layout", ",".join(["10"] * 1000), "--threshold", "1/2",
+                 *model, "--seed", "20261018", "--workers", workers])
+    assert code == 0
+    assert capsys.readouterr().out == _THOUSAND_GOLDEN[model]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,13 +17,15 @@ from shardrisk.partitions import (
     hypergeometric_marginal_log_pmf,
     layout_from_split,
 )
-from shardrisk.probcore import binomial_tail_and_cdf
+from shardrisk.probcore import binomial_tail_and_cdf, floor_rate_multiple
 from shardrisk.simulate import (
+    CHUNK_SAMPLES,
     SimulationPlan,
+    _chunk_rng,
     estimate_delta,
-    sample_counts_average,
-    sample_counts_exact,
 )
+
+from oracles import sample_counts_average, sample_counts_exact
 
 THIRD = Fraction(1, 3)
 
@@ -219,3 +222,67 @@ class TestEmpiricalDominance:
         # and both confirm the ordering reversal at this grid point
         assert hyper > binom
         assert exact.delta_hat > avg.delta_hat
+
+
+# (sizes, rate, threshold) with p <= 1/2 and n p <= 30 for every committee,
+# where numpy's binomial sampler inverts one uniform per committee
+_INVERSION_CASES = (
+    ((12, 10, 12, 11), 0.25, THIRD),
+    ((5, 3, 5, 5), 0.5, THIRD),
+    ((7, 9, 30, 3, 3, 40), 0.3, THIRD),
+    ((7, 9, 30, 3, 3, 40), (0.1, 0.5, 0.25, 0.3, 0.3, 0.2), THIRD),
+    ((5, 3, 5, 5), (0.5, 0.25, 0.5, 0.1), Fraction(1, 2)),
+    ((50,) * 20, 0.1, Fraction(1, 5)),
+    ((10,) * 1000, 0.1, Fraction(1, 2)),
+)
+
+
+@pytest.mark.parametrize("seed", range(21))
+def test_failures_equal_binomial_counts_in_inversion_regime(seed):
+    sizes, rate, threshold = _INVERSION_CASES[seed % len(_INVERSION_CASES)]
+    layout = CommitteeLayout(sizes)
+    query = FailureQuery(layout, AverageAdversary(rate), threshold)
+    k = layout.committee_count
+    # two chunks, the second partial; at K = 1000 one chunk of several blocks
+    samples = 2000 if k > 100 else CHUNK_SAMPLES + 3000
+    rates = np.asarray(AverageAdversary(rate).rates_for(k))
+    caps = np.array([floor_rate_multiple(threshold, s) for s in sizes])
+    expected = 0
+    for index, start in enumerate(range(0, samples, CHUNK_SAMPLES)):
+        count = min(CHUNK_SAMPLES, samples - start)
+        counts = _chunk_rng(seed, index).binomial(layout.sizes_array(), rates,
+                                                  size=(count, k))
+        expected += int((counts > caps).any(axis=1).sum())
+    assert 0 < expected < samples
+    plan = SimulationPlan(query, samples=samples, seed=seed)
+    assert estimate_delta(plan).failures == expected
+
+
+@pytest.mark.parametrize("size, rate", [(200, 0.3), (20, 0.75)])
+def test_outside_inversion_regime_matches_exact_value(size, rate):
+    # n p > 30 (BTPE) and p > 1/2, where numpy does not invert the uniform
+    query = FailureQuery(CommitteeLayout((size,) * 5), AverageAdversary(rate),
+                         THIRD if rate < 0.5 else Fraction(4, 5))
+    exact = delta_exact_binomial(query).delta
+    estimate = estimate_delta(SimulationPlan(query, samples=100_000, seed=31))
+    se = math.sqrt(exact * (1 - exact) / estimate.samples)
+    assert 0.05 < exact < 0.95
+    assert abs(estimate.delta_hat - exact) <= 5 * se
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("adversary, samples", [
+    (AverageAdversary(Fraction(1, 10)), 65536),
+    (ExactAdversary(1000), 4096),
+])
+def test_chunk_memory_bounded_at_a_thousand_committees(adversary, samples, workers):
+    query = FailureQuery(layout_from_split(10_000, 1000), adversary, Fraction(1, 2))
+    plan = SimulationPlan(query, samples=samples, seed=41, workers=workers)
+    tracemalloc.start()
+    try:
+        estimate = estimate_delta(plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < estimate.failures < samples
+    assert peak < 16 << 20
