@@ -6,7 +6,6 @@ from .failure import (
     FailureQuery,
     delta_exact_binomial,
     delta_exact_hypergeometric,
-    failure_threshold,
     theorem1_bounds,
     union_bound_fixed_sizes,
     union_bound_hypergeometric,
@@ -20,9 +19,6 @@ from .partitions import (
     exact_count_from_rate,
     hypergeometric_marginal_log_pmf,
     layout_from_split,
-    multinomial_log_pmf,
-    multivariate_hypergeometric_log_pmf,
-    product_binomial_log_pmf,
 )
 from .probcore import (
     LOG_ZERO,
@@ -76,7 +72,6 @@ __all__ = [
     "delta_exact_hypergeometric",
     "estimate_delta",
     "exact_count_from_rate",
-    "failure_threshold",
     "hypergeometric_marginal_log_pmf",
     "kl_divergence",
     "layout_from_split",
@@ -84,9 +79,6 @@ __all__ = [
     "log_binomial_coefficient",
     "max_committees",
     "min_committee_size",
-    "multinomial_log_pmf",
-    "multivariate_hypergeometric_log_pmf",
-    "product_binomial_log_pmf",
     "size_bracket",
     "solve_saddle",
     "stable_complement_product",

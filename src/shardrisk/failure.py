@@ -57,7 +57,6 @@ __all__ = [
     "FailureQuery",
     "delta_exact_binomial",
     "delta_exact_hypergeometric",
-    "failure_threshold",
     "theorem1_bounds",
     "union_bound_fixed_sizes",
     "union_bound_hypergeometric",
@@ -152,21 +151,6 @@ def _result_from_raw_log_delta(method, raw_log_delta, *, precondition_ok=True,
         precondition_ok=precondition_ok,
         warnings=tuple(warnings),
     )
-
-
-def failure_threshold(threshold: RateLike, committee_size: int) -> int:
-    """Smallest adversary count at which a committee of this size fails.
-
-    floor(A * size) + 1, with the floor taken in integer arithmetic when A
-    is a Fraction.
-    """
-    size = int(committee_size)
-    if size < 1:
-        raise ValueError(f"committee_size must be positive, got {committee_size}")
-    a = rate_as_float(threshold, "threshold")
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"threshold must lie strictly inside (0, 1), got {threshold!r}")
-    return floor_rate_multiple(threshold, size) + 1
 
 
 def _average_groups(query: FailureQuery) -> list[tuple[int, float, int, int]]:

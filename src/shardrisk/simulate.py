@@ -15,12 +15,18 @@ there the failure counts equal those of drawing full binomial counts,
 except for a uniform within rounding of the CDF (about 1e-16 per draw).
 The realisations differ, with the same law, where numpy takes another
 path: n p > 30 (BTPE), p > 1/2 (inversion of n - X) and p = 0 (no draw).
-The exactly-M model draws multivariate hypergeometric counts and compares
-them with the caps.
+A chunk draws those uniforms in blocks of at most ``BLOCK_BYTES`` from its
+one generator, so it holds O(BLOCK_BYTES) of them at any committee count,
+and the blocks concatenate to the draws of a single call.
 
-A chunk draws its variates in blocks of at most ``BLOCK_BYTES`` from its
-one generator, so it holds O(BLOCK_BYTES) of variates at any committee
-count, and the blocks concatenate to the draws of a single call.
+The exactly-M model walks the committees in layout order over all samples
+of a chunk at once.  Each sample keeps only its number of adversaries still
+unplaced; committee i draws its count from the hypergeometric law of its
+size among the nodes still unplaced, and the last committee takes the
+remainder.  The urn is exchangeable, so these conditional draws follow the
+exact joint law.  A sample leaves at its first committee over the cap, so
+the walk stops once every sample has failed, and the state is one integer
+per live sample, whatever the committee count.
 """
 
 from __future__ import annotations
@@ -45,7 +51,8 @@ __all__ = [
 #: Samples per RNG substream; fixed so results never depend on worker count.
 CHUNK_SAMPLES = 32768
 
-#: Bytes of variates a chunk holds at once, whatever the committee count.
+#: Bytes of average-model uniforms a chunk holds at once, whatever the
+#: committee count.
 BLOCK_BYTES = 4 << 20
 
 
@@ -106,30 +113,48 @@ def _cap_cdfs(query: FailureQuery) -> np.ndarray:
     return np.repeat([cdf[pair] for pair, _ in runs], [mult for _, mult in runs])
 
 
+def _exact_failures(rng: np.random.Generator, query: FailureQuery, count: int,
+                    caps: np.ndarray) -> int:
+    """Failed samples among ``count`` exactly-M partitions.
+
+    Sequential conditional draws, one committee at a time over the live
+    samples; a sample leaves at its first committee over its cap.
+    """
+    sizes = query.layout.sizes
+    unplaced_nodes = query.layout.total
+    unplaced = np.full(count, query.adversary.count, dtype=np.int64)
+    failures = 0
+    for index, (size, cap) in enumerate(zip(sizes, caps.tolist())):
+        if index == len(sizes) - 1:
+            counts = unplaced
+        else:
+            counts = rng.hypergeometric(unplaced, unplaced_nodes - unplaced, size)
+        live = counts <= cap
+        failures += count - int(np.count_nonzero(live))
+        unplaced = (unplaced - counts)[live]
+        unplaced_nodes -= size
+        count = unplaced.size
+        if not count:
+            break
+    return failures
+
+
 def _failure_count_chunk(plan: SimulationPlan, chunk_index: int, count: int,
                          limits: np.ndarray) -> int:
     """Failed samples among ``count`` drawn from the chunk's own stream.
 
-    Draws ``BLOCK_BYTES`` of variates at a time; consecutive blocks from one
-    generator are the draws a single call would make.  A sample fails when
-    some committee's variate exceeds its limit: a uniform against the cap
-    CDF (average model) or an adversary count against the cap (exactly-M).
+    The average model compares uniforms with the cap CDFs, ``BLOCK_BYTES``
+    of them at a time; consecutive blocks from one generator are the draws
+    a single call would make.  The exactly-M model compares sequential
+    hypergeometric counts with the caps over the whole chunk at once.
     """
     rng = _chunk_rng(plan.seed, chunk_index)
-    layout = plan.query.layout
-    adversary = plan.query.adversary
-    k = layout.committee_count
-    if isinstance(adversary, AverageAdversary):
-        def draw(rows):
-            return rng.random((rows, k))
-    else:
-        sizes = layout.sizes_array()
-
-        def draw(rows):
-            return rng.multivariate_hypergeometric(sizes, adversary.count, size=rows)
+    if isinstance(plan.query.adversary, ExactAdversary):
+        return _exact_failures(rng, plan.query, count, limits)
+    k = limits.size
     rows = max(1, BLOCK_BYTES // (8 * k))
     # one expression per block, so no block outlives its comparison
-    return sum(int((draw(min(rows, count - start)) > limits).any(axis=1).sum())
+    return sum(int((rng.random((min(rows, count - start), k)) > limits).any(axis=1).sum())
                for start in range(0, count, rows))
 
 

@@ -2,7 +2,10 @@
 
 Everything here is deliberately naive: exhaustive enumeration with exact
 integer weights where possible, so the fast implementations are checked
-against arithmetic that cannot share their failure modes.
+against arithmetic that cannot share their failure modes.  Reference
+helpers that the library itself does not call live here too: the joint
+log-pmfs of the partition family, the failure threshold and one-draw count
+samplers.
 """
 
 from __future__ import annotations
@@ -10,15 +13,18 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
+from typing import Sequence, Union
 
 import numpy as np
 
 from shardrisk.partitions import AverageAdversary, CommitteeLayout
 from shardrisk.probcore import (
+    LOG_ZERO,
     RateLike,
     floor_rate_multiple,
     log_binomial_coefficient,
     log_binomial_coefficients,
+    rate_as_float,
 )
 
 
@@ -209,3 +215,115 @@ def sample_counts_exact(
     if not 0 <= m <= layout.total:
         raise ValueError(f"adversary_count {m} outside [0, {layout.total}]")
     return rng.multivariate_hypergeometric(layout.sizes_array(), m)
+
+
+def failure_threshold(threshold: RateLike, committee_size: int) -> int:
+    """Smallest adversary count at which a committee of this size fails.
+
+    floor(A * size) + 1, with the floor taken in integer arithmetic when A
+    is a Fraction.
+    """
+    size = int(committee_size)
+    if size < 1:
+        raise ValueError(f"committee_size must be positive, got {committee_size}")
+    a = rate_as_float(threshold, "threshold")
+    if not 0.0 < a < 1.0:
+        raise ValueError(f"threshold must lie strictly inside (0, 1), got {threshold!r}")
+    return floor_rate_multiple(threshold, size) + 1
+
+
+def _validate_counts(counts: Sequence[int], layout: CommitteeLayout) -> tuple[int, ...]:
+    counts = tuple(int(c) for c in counts)
+    if len(counts) != layout.committee_count:
+        raise ValueError(
+            f"{len(counts)} counts given for {layout.committee_count} committees"
+        )
+    for c, size in zip(counts, layout.sizes):
+        if c < 0 or c > size:
+            raise ValueError(f"count {c} outside [0, {size}]")
+    return counts
+
+
+def multinomial_log_pmf(
+    layout_counts: Sequence[int],
+    total_nodes: int,
+    committee_probs: Sequence[RateLike],
+) -> float:
+    """Log pmf of committee sizes under independent node placement.
+
+    Probability zero (LOG_ZERO) when the counts do not sum to the node
+    total; that indicator is part of the distribution, not an error.
+    """
+    counts = tuple(int(c) for c in layout_counts)
+    if any(c < 0 for c in counts):
+        raise ValueError(f"counts must be non-negative, got {counts}")
+    probs = [rate_as_float(p, "committee probability") for p in committee_probs]
+    if len(probs) != len(counts):
+        raise ValueError("counts and probabilities must have equal length")
+    if abs(math.fsum(probs) - 1.0) > 1e-12:
+        raise ValueError(f"committee probabilities must sum to 1, got {math.fsum(probs)!r}")
+    n = int(total_nodes)
+    if sum(counts) != n:
+        return LOG_ZERO
+    out = math.lgamma(n + 1)
+    for c, p in zip(counts, probs):
+        out -= math.lgamma(c + 1)
+        if c > 0:
+            if p == 0.0:
+                return LOG_ZERO
+            out += c * math.log(p)
+    return min(out, 0.0)
+
+
+def _binomial_log_pmf(count: int, size: int, p: float) -> float:
+    if p == 0.0:
+        return 0.0 if count == 0 else LOG_ZERO
+    if p == 1.0:
+        return 0.0 if count == size else LOG_ZERO
+    return (
+        log_binomial_coefficient(size, count)
+        + count * math.log(p)
+        + (size - count) * math.log1p(-p)
+    )
+
+
+def product_binomial_log_pmf(
+    counts: Sequence[int],
+    layout: CommitteeLayout,
+    rates: Union[RateLike, Sequence[RateLike]],
+) -> float:
+    """Log pmf of per-committee counts under the independent-rate model."""
+    counts = _validate_counts(counts, layout)
+    if isinstance(rates, (list, tuple)):
+        adversary = AverageAdversary(tuple(rates))
+    else:
+        adversary = AverageAdversary(rates)
+    per_committee = adversary.rates_for(layout.committee_count)
+    total = 0.0
+    for c, size, p in zip(counts, layout.sizes, per_committee):
+        term = _binomial_log_pmf(c, size, p)
+        if term == LOG_ZERO:
+            return LOG_ZERO
+        total += term
+    return min(total, 0.0)
+
+
+def multivariate_hypergeometric_log_pmf(
+    counts: Sequence[int], layout: CommitteeLayout, adversary_count: int
+) -> float:
+    """Log pmf of per-committee counts given exactly M adversarial nodes.
+
+    Zero probability when the counts do not sum to M (the constraint is a
+    Kronecker delta of the distribution).
+    """
+    counts = _validate_counts(counts, layout)
+    m = int(adversary_count)
+    n_total = layout.total
+    if m < 0 or m > n_total:
+        raise ValueError(f"adversary count {m} outside [0, {n_total}]")
+    if sum(counts) != m:
+        return LOG_ZERO
+    out = -log_binomial_coefficient(n_total, m)
+    for c, size in zip(counts, layout.sizes):
+        out += log_binomial_coefficient(size, c)
+    return min(out, 0.0)

@@ -254,6 +254,17 @@ class TestSimulateCommand:
             outs.append(out)
         assert outs[0] == outs[1]
 
+    def test_network_beyond_sampler_domain_exits_one(self, capsys):
+        # numpy's hypergeometric sampler takes fewer than 1e9 nodes per colour
+        code, out, err = run_cli(
+            capsys, "simulate", "--layout", "600000000,600000000",
+            "--adversary-count", "100000", "--threshold", "1/3",
+            "--samples", "10", "--seed", "7",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "internal error" not in err and "Traceback" not in err
+
 
 class TestSweepCommand:
     BASE = [

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (
     binomial_failure_enumeration,
     exact_m_failure_survival,
+    failure_threshold,
     hypergeometric_failure_table,
     log_ratio,
 )
@@ -18,7 +19,6 @@ from shardrisk.failure import (
     _marginal_log_tail,
     delta_exact_binomial,
     delta_exact_hypergeometric,
-    failure_threshold,
     theorem1_bounds,
     union_bound_fixed_sizes,
     union_bound_hypergeometric,

@@ -5,7 +5,12 @@ from itertools import product
 import numpy as np
 import pytest
 
-from oracles import hypergeometric_marginal_log_pmf_alternate
+from oracles import (
+    hypergeometric_marginal_log_pmf_alternate,
+    multinomial_log_pmf,
+    multivariate_hypergeometric_log_pmf,
+    product_binomial_log_pmf,
+)
 from shardrisk.partitions import (
     AverageAdversary,
     CommitteeLayout,
@@ -13,9 +18,6 @@ from shardrisk.partitions import (
     exact_count_from_rate,
     hypergeometric_marginal_log_pmf,
     layout_from_split,
-    multinomial_log_pmf,
-    multivariate_hypergeometric_log_pmf,
-    product_binomial_log_pmf,
 )
 from shardrisk.partitions import _marginal_log_pmf_primary
 from shardrisk.probcore import LOG_ZERO

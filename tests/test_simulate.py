@@ -22,10 +22,15 @@ from shardrisk.simulate import (
     CHUNK_SAMPLES,
     SimulationPlan,
     _chunk_rng,
+    _exact_failures,
     estimate_delta,
 )
 
-from oracles import sample_counts_average, sample_counts_exact
+from oracles import (
+    hypergeometric_failure_table,
+    sample_counts_average,
+    sample_counts_exact,
+)
 
 THIRD = Fraction(1, 3)
 
@@ -286,3 +291,59 @@ def test_chunk_memory_bounded_at_a_thousand_committees(adversary, samples, worke
         tracemalloc.stop()
     assert 0 < estimate.failures < samples
     assert peak < 16 << 20
+
+
+# (sizes, threshold, M): an unsorted layout, a size-1 committee whose cap is
+# 0, the last committee taking the remainder, M = 0, M = N, M above the sum
+# of the caps, and caps at least the committee size
+_EXACT_LAW_CASES = (
+    ((5, 3, 5, 5), THIRD, 6),
+    ((5, 3, 5, 5), Fraction(1, 2), 5),
+    ((5, 3, 5, 5), THIRD, 0),
+    ((5, 3, 5, 5), THIRD, 18),
+    ((5, 3, 5, 5), Fraction(1, 2), 8),
+    ((4, 1, 6), Fraction(1, 2), 4),
+    ((6, 6), Fraction(1, 2), 6),
+    ((2, 7, 3), Fraction(1), 6),
+)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_exact_failure_frequency_matches_enumeration(seed):
+    sizes, threshold, m = _EXACT_LAW_CASES[seed % len(_EXACT_LAW_CASES)]
+    fail, total = hypergeometric_failure_table(sizes, threshold)
+    exact = fail[m] / total[m]
+    query = FailureQuery(CommitteeLayout(sizes), ExactAdversary(m), threshold)
+    # two chunks, the second partial
+    estimate = estimate_delta(SimulationPlan(query, samples=CHUNK_SAMPLES + 7000,
+                                             seed=seed))
+    if exact in (0.0, 1.0):
+        assert estimate.delta_hat == exact
+    else:
+        se = math.sqrt(exact * (1 - exact) / estimate.samples)
+        assert abs(estimate.delta_hat - exact) <= 5 * se
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_exact_committee_counts_match_marginal_law(seed):
+    # one committee at a time gets a cap below its size, every other one a
+    # cap at its size; the failure frequency is then that committee's
+    # marginal tail P(X_i > c), and over every c it is the count histogram
+    sizes, m = (((5, 3, 5, 5), 6), ((5, 3, 5, 5), 5), ((4, 1, 6), 4),
+                ((6, 6), 6))[seed % 4]
+    n_total = sum(sizes)
+    query = FailureQuery(CommitteeLayout(sizes), ExactAdversary(m), THIRD)
+    samples = 4000
+    for index, size in enumerate(sizes):
+        for cap in range(size):
+            caps = np.array(sizes)
+            caps[index] = cap
+            failures = _exact_failures(_chunk_rng(seed, index * 100 + cap), query,
+                                       samples, caps)
+            tail = sum(math.comb(size, j) * math.comb(n_total - size, m - j)
+                       for j in range(cap + 1, min(size, m) + 1)) / math.comb(n_total, m)
+            if tail in (0.0, 1.0):
+                assert failures == tail * samples, (index, cap)
+            else:
+                se = math.sqrt(tail * (1 - tail) / samples)
+                assert abs(failures / samples - tail) <= 5 * se, (index, cap)
