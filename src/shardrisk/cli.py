@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .failure import (
+    DeltaResult,
     FailureQuery,
     delta_exact_binomial,
     delta_exact_hypergeometric,
@@ -35,7 +38,12 @@ from .partitions import (
 )
 from .saddle import delta_asymptotic
 from .simulate import DeltaEstimate, SimulationPlan, estimate_delta
-from .sizing import max_committees, min_committee_size, size_bracket
+from .sizing import (
+    max_committees,
+    min_committee_size,
+    scan_committee_size,
+    size_bracket,
+)
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -44,21 +52,44 @@ _DELTA_COLUMNS = [
     "clamped", "precondition_ok", "warnings",
 ]
 
-_AVERAGE_METHODS = {
-    "exact-binomial", "theorem1-lower", "theorem1-upper-ash",
-    "theorem1-upper-ferrante", "union-fixed", "union-random",
-    "union-random-simple", "monte-carlo-average",
+
+def _union_random(query: FailureQuery, pick: int) -> DeltaResult:
+    """union-random (pick 0) or its simple form (pick 1) for one layout."""
+    layout = query.layout
+    probs = [s / layout.total for s in layout.sizes]
+    rates = query.adversary.rates_for(layout.committee_count)
+    return union_bound_random_sizes(layout.total, probs, rates, query.threshold,
+                                    layout.sizes)[pick]
+
+
+class _Method(NamedTuple):
+    model: str  # "average": nodes adversarial at rate P; "exact": exactly M
+    # FailureQuery -> DeltaResult, None for Monte Carlo.  Evaluators are
+    # looked up by module-global name at call time, so rebinding a name
+    # (as instrumentation does) reaches every caller.
+    evaluate: Callable[[FailureQuery], DeltaResult] | None
+
+
+# every method tag: delta takes the analytic ones, sweep-k all of them and
+# sweep-n the analytic ones plus "bracket"
+METHODS = {
+    "exact-binomial": _Method("average", lambda q: delta_exact_binomial(q)),
+    "theorem1-lower": _Method("average", lambda q: theorem1_bounds(q)[0]),
+    "theorem1-upper-ash": _Method("average", lambda q: theorem1_bounds(q)[1]),
+    "theorem1-upper-ferrante": _Method("average", lambda q: theorem1_bounds(q)[2]),
+    "union-fixed": _Method("average", lambda q: union_bound_fixed_sizes(q)),
+    "union-random": _Method("average", lambda q: _union_random(q, 0)),
+    "union-random-simple": _Method("average", lambda q: _union_random(q, 1)),
+    "exact-hypergeometric": _Method("exact", lambda q: delta_exact_hypergeometric(q)),
+    "asymptotic": _Method("exact", lambda q: delta_asymptotic(
+        q.layout, q.adversary.count, q.threshold)),
+    "union-hyper-exact": _Method("exact", lambda q: union_bound_hypergeometric(q)[0]),
+    "union-hyper-hoeffding": _Method(
+        "exact", lambda q: union_bound_hypergeometric(q)[1]),
+    "monte-carlo": _Method("average", None),
+    "monte-carlo-average": _Method("average", None),
+    "monte-carlo-exact": _Method("exact", None),
 }
-_EXACT_METHODS = {
-    "exact-hypergeometric", "asymptotic", "union-hyper-exact",
-    "union-hyper-hoeffding", "monte-carlo-exact",
-}
-_SWEEP_K_METHODS = sorted(_AVERAGE_METHODS | _EXACT_METHODS | {"monte-carlo"})
-_SWEEP_N_METHODS = [
-    "exact-binomial", "exact-hypergeometric", "asymptotic",
-    "theorem1-lower", "theorem1-upper-ash", "theorem1-upper-ferrante",
-    "union-fixed", "union-hyper-exact", "union-hyper-hoeffding", "bracket",
-]
 
 
 def _parse_rate(text: str) -> Fraction | float:
@@ -104,6 +135,7 @@ def _add_query_flags(parser: argparse.ArgumentParser) -> None:
                         help="tolerated fraction A, e.g. '1/3'")
 
 
+@functools.cache  # one parser per process: building it takes about 2 ms
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shardrisk",
@@ -175,12 +207,6 @@ def _layout_from_args(args, parser) -> CommitteeLayout:
     return layout_from_split(args.nodes, args.committees)
 
 
-def _require_frac(args, parser):
-    if args.adversary_frac is None:
-        parser.error("this method needs --adversary-frac")
-    return args.adversary_frac
-
-
 def _derive_count(args, parser, total: int) -> int:
     if args.adversary_count is not None:
         return args.adversary_count
@@ -189,45 +215,25 @@ def _derive_count(args, parser, total: int) -> int:
     parser.error("this method needs --adversary-count or --adversary-frac")
 
 
-def _evaluate_analytic(tag: str, layout: CommitteeLayout, threshold,
-                       frac, count):
-    """Run one analytic method tag; frac/count may be None when unused."""
-    if tag in _AVERAGE_METHODS and not tag.startswith("monte-carlo"):
-        query = FailureQuery(layout, AverageAdversary(frac), threshold)
-        if tag == "exact-binomial":
-            return delta_exact_binomial(query)
-        if tag.startswith("theorem1"):
-            lower, ash, ferrante = theorem1_bounds(query)
-            return {"theorem1-lower": lower, "theorem1-upper-ash": ash,
-                    "theorem1-upper-ferrante": ferrante}[tag]
-        if tag == "union-fixed":
-            return union_bound_fixed_sizes(query)
-        total = layout.total
-        probs = [s / total for s in layout.sizes]
-        rates = query.adversary.rates_for(layout.committee_count)
-        tight, simple = union_bound_random_sizes(
-            total, probs, rates, threshold, layout.sizes)
-        return tight if tag == "union-random" else simple
-    if tag == "asymptotic":
-        return delta_asymptotic(layout, count, threshold)
-    query = FailureQuery(layout, ExactAdversary(count), threshold)
-    if tag == "exact-hypergeometric":
-        return delta_exact_hypergeometric(query)
-    exact, hoeffding = union_bound_hypergeometric(query)
-    return exact if tag == "union-hyper-exact" else hoeffding
-
-
-def _delta_row(result) -> dict:
-    return {
-        "method": result.method,
-        "delta": result.delta,
-        "log_delta": result.log_delta,
-        "log_survival": result.log_survival,
-        "raw_log_delta": result.raw_log_delta,
-        "clamped": result.clamped,
-        "precondition_ok": result.precondition_ok,
-        "warnings": ";".join(result.warnings),
-    }
+def _delta_rows(tags, layout: CommitteeLayout, args, parser):
+    """One DeltaResult row per analytic method tag, on rate P, or on count M
+    given or round(N P)."""
+    rows = []
+    for tag in tags:
+        if tag not in METHODS:
+            parser.error(f"unknown method {tag!r}")
+        model, evaluate = METHODS[tag]
+        if evaluate is None:
+            parser.error("use the simulate subcommand for Monte Carlo estimates")
+        if model == "exact":
+            adversary = ExactAdversary(_derive_count(args, parser, layout.total))
+        elif args.adversary_frac is None:
+            parser.error("this method needs --adversary-frac")
+        else:
+            adversary = AverageAdversary(args.adversary_frac)
+        result = evaluate(FailureQuery(layout, adversary, args.threshold))
+        rows.append({**vars(result), "warnings": ";".join(result.warnings)})
+    return rows, _DELTA_COLUMNS
 
 
 # ---------------------------------------------------------------------------
@@ -239,17 +245,7 @@ def _cmd_delta(args, parser):
     tags = [t.strip() for t in args.method.split(",") if t.strip()]
     if not tags:
         parser.error("--method must list at least one method tag")
-    rows = []
-    for tag in tags:
-        if tag.startswith("monte-carlo"):
-            parser.error("use the simulate subcommand for Monte Carlo estimates")
-        if tag not in _AVERAGE_METHODS | _EXACT_METHODS:
-            parser.error(f"unknown method {tag!r}")
-        frac = _require_frac(args, parser) if tag in _AVERAGE_METHODS else None
-        count = _derive_count(args, parser, layout.total) if tag in _EXACT_METHODS else None
-        rows.append(_delta_row(_evaluate_analytic(tag, layout, args.threshold,
-                                                  frac, count)))
-    return rows, _DELTA_COLUMNS
+    return _delta_rows(tags, layout, args, parser)
 
 
 def _cmd_bounds(args, parser):
@@ -262,21 +258,11 @@ def _cmd_bounds(args, parser):
                  "theorem1-upper-ferrante", "union-fixed", "union-random",
                  "union-random-simple"]
     tags += ["union-hyper-exact", "union-hyper-hoeffding"]
-    count = _derive_count(args, parser, layout.total)
-    rows = []
-    for tag in tags:
-        frac = args.adversary_frac if tag in _AVERAGE_METHODS else None
-        rows.append(_delta_row(_evaluate_analytic(
-            tag, layout, args.threshold, frac,
-            count if tag in _EXACT_METHODS else None)))
-    return rows, _DELTA_COLUMNS
+    return _delta_rows(tags, layout, args, parser)
 
 
 def _cmd_asymptotic(args, parser):
-    layout = _layout_from_args(args, parser)
-    count = _derive_count(args, parser, layout.total)
-    row = _delta_row(delta_asymptotic(layout, count, args.threshold))
-    return [row], _DELTA_COLUMNS
+    return _delta_rows(["asymptotic"], _layout_from_args(args, parser), args, parser)
 
 
 def _cmd_size(args, parser):
@@ -395,39 +381,39 @@ def _sweep_config(args, parser) -> dict:
         parser.error("sweep needs --methods")
     if config["adversary_frac"] is None:
         parser.error("sweep needs --adversary-frac")
-    known = set(_SWEEP_K_METHODS if config["mode"] == "sweep-k" else _SWEEP_N_METHODS)
+    known = set(METHODS) if config["mode"] == "sweep-k" else {
+        "bracket", *(tag for tag, method in METHODS.items() if method.evaluate)}
     for tag in config["methods"]:
         if tag not in known:
             parser.error(f"unknown method {tag!r} for {config['mode']}")
     if config["mode"] == "sweep-k" and config["nodes"] is None:
         parser.error("sweep-k needs --nodes")
-    if config["mode"] == "sweep-n" and config["delta_target"] is None:
-        parser.error("sweep-n needs --delta")
+    target = config["delta_target"]
+    if config["mode"] == "sweep-n" and (target is None or not 0.0 < target < 1.0):
+        parser.error("sweep-n needs --delta strictly inside (0, 1)")
     return config
 
 
-def _sweep_k_cell(tag, layout, config):
-    threshold = config["threshold"]
+def _cell_query(model: str, layout: CommitteeLayout, config) -> FailureQuery:
+    """The query of a sweep cell: rate P, or count round(N P)."""
     frac = config["adversary_frac"]
-    count = exact_count_from_rate(layout.total, frac)
-    if tag == "monte-carlo":
-        tag = "monte-carlo-average"
-    if tag.startswith("monte-carlo"):
-        adversary = (AverageAdversary(frac) if tag.endswith("average")
-                     else ExactAdversary(count))
-        plan = SimulationPlan(
-            query=FailureQuery(layout, adversary, threshold),
-            samples=config["samples"], seed=config["seed"],
-            workers=config["workers"],
-        )
-        return estimate_delta(plan)
-    return _evaluate_analytic(tag, layout, threshold, frac, count)
+    adversary = (AverageAdversary(frac) if model == "average"
+                 else ExactAdversary(exact_count_from_rate(layout.total, frac)))
+    return FailureQuery(layout, adversary, config["threshold"])
+
+
+def _sweep_k_cell(tag, layout, config):
+    model, evaluate = METHODS[tag]
+    query = _cell_query(model, layout, config)
+    if evaluate is not None:
+        return evaluate(query)
+    plan = SimulationPlan(query=query, samples=config["samples"],
+                          seed=config["seed"], workers=config["workers"])
+    return estimate_delta(plan)
 
 
 def _flags_of(result) -> str:
     flags = []
-    if isinstance(result, DeltaEstimate):
-        return ""
     if result.clamped:
         flags.append("clamped")
     if not result.precondition_ok:
@@ -451,10 +437,7 @@ def _run_sweep_k(config):
             try:
                 result = _sweep_k_cell(tag, layout, config)
             except (ValueError, ArithmeticError) as exc:
-                row[tag] = None
-                if tag.startswith("monte-carlo"):
-                    row[f"{tag}_se"] = None
-                row[f"{tag}_flags"] = f"error:{exc}"
+                row[f"{tag}_flags"] = f"error:{exc}"  # empty value cells
                 continue
             if isinstance(result, DeltaEstimate):
                 row[tag] = result.delta_hat
@@ -467,38 +450,30 @@ def _run_sweep_k(config):
     return rows, columns
 
 
-def _solve_n_for_method(tag, k, config):
-    threshold = config["threshold"]
-    frac = config["adversary_frac"]
+def _sweep_n_cell(tag, k, config):
+    """Smallest stable committee size for K committees by one method."""
+    model, evaluate = METHODS[tag]
     target = config["delta_target"]
     if tag in ("exact-binomial", "exact-hypergeometric"):
-        model = "average" if tag == "exact-binomial" else "exact"
-        return min_committee_size(k, target, threshold, frac, model)
+        return min_committee_size(k, target, config["threshold"],
+                                  config["adversary_frac"], model)
 
-    def delta_of(n: int) -> float:
+    def delta_at(n: int) -> float:
         layout = CommitteeLayout.from_runs(((n, k),))
+        query = _cell_query(model, layout, config)
         if tag == "asymptotic":
-            count = exact_count_from_rate(layout.total, frac)
-            if count == 0:
-                return 0.0
-            if count == layout.total:
-                return 1.0
+            count = query.adversary.count
+            if count in (0, layout.total):
+                return 0.0 if count == 0 else 1.0
             try:
-                return delta_asymptotic(layout, count, threshold).delta
+                return evaluate(query).delta
             except ValueError:
                 # no tilt: the allowance cannot host the adversary mass,
                 # so such a small size is simply infeasible
                 return 1.0
-        count = (exact_count_from_rate(layout.total, frac)
-                 if tag in _EXACT_METHODS else None)
-        return _evaluate_analytic(tag, layout, threshold, frac, count).delta
+        return evaluate(query).delta
 
-    n = 1
-    while n <= 1_000_000:
-        if delta_of(n) <= target and delta_of(n + 1) <= target:
-            return n
-        n += 1
-    raise ValueError("no committee size up to 1000000 meets the target")
+    return scan_committee_size(lambda n: delta_at(n) <= target)
 
 
 def _run_sweep_n(config):
@@ -520,10 +495,9 @@ def _run_sweep_n(config):
                 row["bracket-upper"] = bracket.upper
                 continue
             try:
-                row[tag] = _solve_n_for_method(tag, k, config)
+                row[tag] = _sweep_n_cell(tag, k, config)
                 row[f"{tag}_flags"] = ""
             except (ValueError, ArithmeticError) as exc:
-                row[tag] = None
                 row[f"{tag}_flags"] = f"error:{exc}"
         rows.append(row)
     return rows, columns

@@ -64,8 +64,8 @@ class CommitteeLayout:
     order, with no two neighbouring runs of equal size.  That form is
     canonical, so equality and hashing are those of the committee sequence,
     and the analytic evaluators cost O(runs) rather than O(committees).
-    ``sizes`` and ``sizes_array()`` expand the runs back into the
-    per-committee sequence, in the original order.
+    ``sizes`` expands the runs back into the per-committee sequence, in
+    the original order.
     """
 
     runs: tuple[tuple[int, int], ...]
@@ -91,10 +91,6 @@ class CommitteeLayout:
     @property
     def committee_count(self) -> int:
         return sum(mult for _, mult in self.runs)
-
-    def sizes_array(self) -> np.ndarray:
-        sizes, mults = zip(*self.runs)
-        return np.repeat(np.asarray(sizes, dtype=np.int64), mults)
 
 
 def layout_from_split(total_nodes: int, committees: int) -> CommitteeLayout:

@@ -5,7 +5,9 @@ grows the committee count until the failure probability first exceeds the
 target, returning the last safe configuration (the classic repeat-until
 loop, including its quirk of reporting probability 0 for the untouched
 single-committee fallback).  ``min_committee_size`` fixes the committee
-count and solves for the smallest per-committee size meeting the target.
+count and finds the smallest per-committee size meeting the target by
+one linear scan, ``scan_committee_size``, which the CLI's sweep-n also
+uses for every method.
 
 ``size_bracket`` gives closed-form bounds on that smallest size, and
 ``bracket_expansions`` provides the truncated series showing both bracket
@@ -15,18 +17,32 @@ inverse target).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
-from .failure import FailureQuery, delta_exact_binomial, delta_exact_hypergeometric
+from .failure import (
+    FailureQuery,
+    delta_exact_binomial,
+    delta_exact_hypergeometric,
+    union_bound_hypergeometric,
+)
 from .partitions import (
     AverageAdversary,
     CommitteeLayout,
     ExactAdversary,
     exact_count_from_rate,
+    hypergeometric_marginal_log_pmf,
     layout_from_split,
 )
-from .probcore import RateLike, kl_divergence, rate_as_float
+from .probcore import (
+    LOG_ZERO,
+    RateLike,
+    floor_rate_multiple,
+    kl_divergence,
+    rate_as_float,
+)
 
 __all__ = [
     "SizeBracket",
@@ -34,6 +50,7 @@ __all__ = [
     "bracket_expansions",
     "max_committees",
     "min_committee_size",
+    "scan_committee_size",
     "size_bracket",
 ]
 
@@ -120,16 +137,37 @@ def max_committees(
     )
 
 
-def _uniform_exact_delta(
-    committees: int,
-    size: int,
-    threshold: RateLike,
-    adversary_rate: RateLike,
-) -> float:
-    layout = CommitteeLayout.from_runs(((size, committees),))
-    m = exact_count_from_rate(layout.total, adversary_rate)
-    return delta_exact_hypergeometric(
-        FailureQuery(layout, ExactAdversary(m), threshold)).delta
+def scan_committee_size(
+    feasible: Callable[[int], bool],
+    *,
+    max_size: int = 1_000_000,
+    require_stable: bool = True,
+) -> int:
+    """Smallest n in 1..max_size with ``feasible(n)``, by a linear scan.
+
+    With ``require_stable`` the size n + 1 must be feasible too (unless n
+    is ``max_size``).  ``feasible`` is called at most once per n.
+    """
+    ok = functools.cache(feasible)
+    for n in range(1, max_size + 1):
+        if ok(n) and (not require_stable or n == max_size or ok(n + 1)):
+            return n
+    raise ValueError(f"no committee size up to {max_size} meets the target")
+
+
+def _log_tail_head(cap: int, size: int, total: int, m: int, goal: float) -> float:
+    """Lower bound on log P(count > cap) under exactly-M: a head of the pmf sum."""
+    log_first = hypergeometric_marginal_log_pmf(cap + 1, size, total, m)
+    if log_first == LOG_ZERO or log_first > goal:
+        return log_first
+    need, rest = math.exp(goal - log_first), total - size
+    s = t = 1.0
+    for j in range(cap + 1, min(cap + 65, size, m)):
+        t *= (size - j) * (m - j) / ((j + 1) * (rest - m + j + 1))
+        s += t
+        if s > need or t < 2.0 ** -20 * s:  # past the goal, or little left to add
+            break
+    return log_first + math.log(s)
 
 
 def min_committee_size(
@@ -144,15 +182,23 @@ def min_committee_size(
 ) -> int:
     """Smallest committee size n meeting the target with K equal committees.
 
-    The failure probability is not monotone in n (the allowed count jumps
-    at multiples of 1/A), so by default feasibility is required at both n
-    and n + 1, which skips isolated one-off feasible sizes; pass
-    ``require_stable=False`` for the raw smallest feasible n.
+    One linear scan over n = 1, 2, ... (``scan_committee_size``), each n
+    evaluated once.  No bisection is valid: the allowed count floor(A n)
+    jumps at multiples of 1/A, and under the exact model M = round(n K P)
+    rounds, so the failure probability is not monotone in n.  By default
+    feasibility is required at both n and n + 1, which skips isolated
+    one-off feasible sizes; pass ``require_stable=False`` for the raw
+    smallest feasible n.
 
     ``model`` selects the evaluator: "average" uses the exact
     product-binomial probability; "exact" pins the adversary count to
-    round(n K P), evaluated by the exact hypergeometric evaluator at every
-    node total.
+    round(n K P).  Multivariate hypergeometric counts are negatively
+    associated (Joag-Dev & Proschan 1983), so with T the marginal tail of
+    one committee, 1 - (1 - T)^K <= delta <= K T.  Each n is decided by the
+    first of three steps that settles it: the lower end with T replaced by
+    a head of its pmf sum (``_log_tail_head``), the sandwich with K T from
+    ``union_bound_hypergeometric`` (one log-gamma row), and the FFT evaluator
+    ``delta_exact_hypergeometric`` for the n whose sandwich straddles it.
     """
     k = int(committees)
     if k < 1:
@@ -166,50 +212,33 @@ def min_committee_size(
         raise ValueError("the exact model needs adversary_rate below threshold")
 
     if model == "average":
-        def delta_at(n: int) -> float:
+        def feasible(n: int) -> bool:
             layout = CommitteeLayout.from_runs(((n, k),))
             query = FailureQuery(layout, AverageAdversary(adversary_rate), threshold)
-            return delta_exact_binomial(query).delta
+            return delta_exact_binomial(query).delta <= target
     else:
-        def delta_at(n: int) -> float:
-            return _uniform_exact_delta(k, n, threshold, adversary_rate)
+        # T above this puts the sandwich's lower end 1 - (1 - T)^K over the target
+        log_tail_cut = -_log_per_committee_budget(target, k)
 
-    def feasible(n: int) -> bool:
-        if delta_at(n) > target:
-            return False
-        if require_stable and n + 1 <= max_size:
-            return delta_at(n + 1) <= target
-        return True
+        def feasible(n: int) -> bool:
+            total = n * k
+            m = exact_count_from_rate(total, adversary_rate)
+            # covers the rounding of the log-gamma terms and of 64 ratio steps
+            margin = 16 * math.ulp(math.lgamma(total + 1)) + 2.0 ** -45
+            cut = log_tail_cut + margin
+            if _log_tail_head(floor_rate_multiple(threshold, n), n, total, m, cut) > cut:
+                return False
+            query = FailureQuery(CommitteeLayout.from_runs(((n, k),)),
+                                 ExactAdversary(m), threshold)
+            log_union = union_bound_hypergeometric(query)[0].raw_log_delta  # log K T
+            if log_union < math.log(target) - margin:
+                return True
+            if log_union - math.log(k) > cut:
+                return False
+            return delta_exact_hypergeometric(query).delta <= target
 
-    if model == "exact":
-        # the exact evaluator is costlier; bracket with the (dominating) average
-        # model and bisect down, then repair locally
-        hi = min_committee_size(
-            k, delta_target, threshold, adversary_rate, "average",
-            max_size=max_size, require_stable=require_stable,
-        )
-        if not feasible(hi):  # dominance is empirical, fall back to a scan
-            n = hi + 1
-            while n <= max_size:
-                if feasible(n):
-                    return n
-                n += 1
-            raise ValueError(f"no committee size up to {max_size} meets the target")
-        lo = 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if feasible(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        while hi > 1 and feasible(hi - 1):
-            hi -= 1
-        return hi
-
-    for n in range(1, max_size + 1):
-        if feasible(n):
-            return n
-    raise ValueError(f"no committee size up to {max_size} meets the target")
+    return scan_committee_size(feasible, max_size=max_size,
+                               require_stable=require_stable)
 
 
 def _log_per_committee_budget(delta_target: float, committees: int) -> float:

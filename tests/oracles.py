@@ -174,6 +174,54 @@ def exact_m_failure_survival(runs, count: int, threshold: Fraction) -> tuple[int
     return total - surviving, surviving, total
 
 
+def exact_m_sandwich(size: int, committees: int, count: int,
+                     threshold: Fraction) -> tuple[Fraction, Fraction]:
+    """(1 - (1 - T)^K, K T) for K committees of ``size`` and exactly ``count``
+    adversaries, with T one committee's marginal tail P(count > floor(A n)).
+
+    Multivariate hypergeometric counts are negatively associated (Joag-Dev &
+    Proschan 1983), so the failure probability lies between the two.
+    """
+    total = size * committees
+    cap = int(Fraction(threshold) * size)
+    ways = sum(math.comb(size, j) * math.comb(total - size, count - j)
+               for j in range(cap + 1, min(size, count) + 1))
+    tail = Fraction(ways, math.comb(total, count))
+    return 1 - (1 - tail) ** committees, committees * tail
+
+
+def scan_exact_m_committee_size(committees: int, delta_target: float, rate: Fraction,
+                                threshold: Fraction) -> tuple[int, int]:
+    """(smallest feasible n, smallest n feasible at n and n + 1) for K equal
+    committees holding round(n K P) adversaries, by a linear scan.
+
+    Each n is decided by ``exact_m_sandwich`` in rational arithmetic where
+    the sandwich settles it, and by ``exact_m_failure_survival`` inside the
+    band, where the exact value is asserted to lie in its sandwich.
+    """
+    target = Fraction(delta_target)
+    decided: dict[int, bool] = {}
+
+    def feasible(n: int) -> bool:
+        if n not in decided:
+            count = round(rate * n * committees)
+            lower, upper = exact_m_sandwich(n, committees, count, threshold)
+            if upper <= target:
+                decided[n] = True
+            elif lower > target:
+                decided[n] = False
+            else:
+                failing, _, ways = exact_m_failure_survival(((n, committees),), count,
+                                                            threshold)
+                assert lower <= Fraction(failing, ways) <= upper, (n, committees, count)
+                decided[n] = Fraction(failing, ways) <= target
+        return decided[n]
+
+    first = next(n for n in range(1, 10**6) if feasible(n))
+    stable = next(n for n in range(first, 10**6) if feasible(n) and feasible(n + 1))
+    return first, stable
+
+
 def log_ratio(numerator: int, denominator: int) -> float:
     """ln(numerator / denominator) of positive integers, for any magnitude."""
     return math.log(numerator) - math.log(denominator)
@@ -199,7 +247,7 @@ def sample_counts_average(
     """One draw of per-committee adversary counts, independent-rate model."""
     adversary = rates if isinstance(rates, AverageAdversary) else AverageAdversary(rates)
     per_committee = np.asarray(adversary.rates_for(layout.committee_count))
-    return rng.binomial(layout.sizes_array(), per_committee)
+    return rng.binomial(np.asarray(layout.sizes), per_committee)
 
 
 def sample_counts_exact(
@@ -214,7 +262,7 @@ def sample_counts_exact(
     m = int(adversary_count)
     if not 0 <= m <= layout.total:
         raise ValueError(f"adversary_count {m} outside [0, {layout.total}]")
-    return rng.multivariate_hypergeometric(layout.sizes_array(), m)
+    return rng.multivariate_hypergeometric(np.asarray(layout.sizes), m)
 
 
 def failure_threshold(threshold: RateLike, committee_size: int) -> int:

@@ -4,6 +4,7 @@ import json
 import math
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -349,6 +350,18 @@ class TestSweepCommand:
             assert n_exact <= n_ash  # bound-derived sizes are conservative
             assert float(row["bracket-lower"]) <= n_exact <= float(row["bracket-upper"])
 
+    @pytest.mark.parametrize("delta", ["0", "1", "1.5"])
+    def test_sweep_n_rejects_target_outside_unit_interval(self, capsys, delta):
+        # delta = 0 would otherwise scan a million sizes per method
+        code, out, err = run_cli(
+            capsys, "sweep", "--mode", "sweep-n", "--k-range", "2:3",
+            "--delta", delta, "--threshold", "1/3", "--adversary-frac", "1/4",
+            "--methods", "union-fixed,asymptotic",
+        )
+        assert code == 2
+        assert out == ""
+        assert "strictly inside (0, 1)" in err
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "out.csv"
         code, out, _ = run_cli(
@@ -372,3 +385,86 @@ class TestMonteCarloSweepDeterminism:
         _, out1, _ = run_cli(capsys, *base, "--workers", "1")
         _, out2, _ = run_cli(capsys, *base, "--workers", "6")
         assert out1 == out2
+
+
+# stdout of delta (every analytic tag, CSV and JSON), bounds (rate and count),
+# asymptotic, sweep-k (every analytic tag) and sweep-n, recorded before the
+# method tags shared one registry; the registry must reproduce it byte for byte
+_GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_registry_output_unchanged(capsys, name):
+    code, out, _ = run_cli(capsys, *_GOLDEN[name]["argv"])
+    assert code == 0
+    assert out == _GOLDEN[name]["stdout"]
+
+
+def test_registry_covers_every_tag():
+    analytic = {tag for tag, method in cli.METHODS.items() if method.evaluate}
+    assert analytic == set(_GOLDEN["delta-split"]["argv"][-1].split(","))
+    assert set(cli.METHODS) - analytic == {
+        "monte-carlo", "monte-carlo-average", "monte-carlo-exact"}
+
+
+class TestEvaluatorsRebindable:
+    """Instrumentation rebinds evaluators by module-global name; every call
+    path must look them up at call time, not hold the function objects."""
+
+    @staticmethod
+    def _count(monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    @pytest.mark.parametrize("tag, name", [
+        ("exact-binomial", "delta_exact_binomial"),
+        ("theorem1-lower", "theorem1_bounds"),
+        ("theorem1-upper-ash", "theorem1_bounds"),
+        ("theorem1-upper-ferrante", "theorem1_bounds"),
+        ("union-fixed", "union_bound_fixed_sizes"),
+        ("union-random", "union_bound_random_sizes"),
+        ("union-random-simple", "union_bound_random_sizes"),
+        ("exact-hypergeometric", "delta_exact_hypergeometric"),
+        ("asymptotic", "delta_asymptotic"),
+        ("union-hyper-exact", "union_bound_hypergeometric"),
+        ("union-hyper-hoeffding", "union_bound_hypergeometric"),
+    ])
+    def test_delta_reaches_each_evaluator(self, capsys, monkeypatch, tag, name):
+        calls = self._count(monkeypatch, cli, name)
+        code, _, _ = run_cli(capsys, "delta", "--nodes", "600", "--committees", "4",
+                             "--adversary-frac", "1/4", "--threshold", "1/3",
+                             "--method", tag)
+        assert code == 0
+        assert calls == [name]
+
+    def test_exact_sizing_reaches_the_union_bound(self, capsys, monkeypatch):
+        from shardrisk import sizing
+
+        calls = self._count(monkeypatch, sizing, "union_bound_hypergeometric")
+        code, out, _ = run_cli(capsys, "size", "--delta", "1e-3", "--threshold", "1/3",
+                               "--adversary-frac", "1/4", "--min-n-for-K", "2",
+                               "--model", "exact")
+        assert code == 0
+        assert parse_csv(out)[0]["n"] == "141"
+        assert calls
+
+
+# Defect 1d: the asymptotic column of sweep-n reads a survival estimate
+# clamped to 1 as delta = 0, so at K = 2 it reports 4 with no flag, far
+# below the exact-binomial size.  Pinned here until the column flags it.
+@pytest.mark.xfail(strict=True, reason="defect 1d: clamped asymptotic read as feasible")
+def test_sweep_n_asymptotic_flags_clamp_or_reaches_exact_size(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--mode", "sweep-n", "--k-range", "2:2",
+                           "--delta", "1e-3", "--threshold", "1/3",
+                           "--adversary-frac", "1/4",
+                           "--methods", "exact-binomial,asymptotic")
+    assert code == 0
+    row = parse_csv(out)[0]
+    assert row["asymptotic_flags"] or int(row["asymptotic"]) >= int(row["exact-binomial"])

@@ -46,7 +46,6 @@ class TestNoCommitteeSequence:
         # a setter too, so that storing a committee sequence also fails
         monkeypatch.setattr(CommitteeLayout, "sizes", property(expand, expand),
                             raising=False)
-        monkeypatch.setattr(CommitteeLayout, "sizes_array", expand)
 
     def test_evaluators_on_ten_million_committees(self):
         layout = layout_from_split(10**9, 10**7)
@@ -120,7 +119,6 @@ def test_runs_match_per_committee_evaluation(case, threshold):
     sizes, rates = case
     layout = CommitteeLayout(sizes)
     assert layout.sizes == sizes
-    assert layout.sizes_array().tolist() == list(sizes)
     for runs in (layout.runs, [(s, 1) for s in sizes], [(s, 1) for s in sizes] + [(1, 0)]):
         rebuilt = CommitteeLayout.from_runs(runs)
         assert rebuilt == layout and hash(rebuilt) == hash(layout)

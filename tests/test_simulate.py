@@ -44,13 +44,13 @@ class TestSamplers:
         layout = CommitteeLayout((3, 5, 2))
         assert (sample_counts_average(layout, 0.0, rng()) == 0).all()
         assert (
-            sample_counts_average(layout, 1.0, rng()) == layout.sizes_array()
+            sample_counts_average(layout, 1.0, rng()) == np.asarray(layout.sizes)
         ).all()
 
     def test_exact_degenerate_counts(self):
         layout = CommitteeLayout((3, 5, 2))
         assert (sample_counts_exact(layout, 0, rng()) == 0).all()
-        assert (sample_counts_exact(layout, 10, rng()) == layout.sizes_array()).all()
+        assert (sample_counts_exact(layout, 10, rng()) == np.asarray(layout.sizes)).all()
 
     def test_exact_count_always_conserved(self):
         layout = CommitteeLayout((4, 7, 9))
@@ -255,7 +255,7 @@ def test_failures_equal_binomial_counts_in_inversion_regime(seed):
     expected = 0
     for index, start in enumerate(range(0, samples, CHUNK_SAMPLES)):
         count = min(CHUNK_SAMPLES, samples - start)
-        counts = _chunk_rng(seed, index).binomial(layout.sizes_array(), rates,
+        counts = _chunk_rng(seed, index).binomial(np.asarray(layout.sizes), rates,
                                                   size=(count, k))
         expected += int((counts > caps).any(axis=1).sum())
     assert 0 < expected < samples

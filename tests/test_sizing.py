@@ -3,11 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import scan_largest_committee_count
+from oracles import (
+    exact_m_failure_survival,
+    exact_m_sandwich,
+    scan_exact_m_committee_size,
+    scan_largest_committee_count,
+)
 from shardrisk.failure import FailureQuery, delta_exact_binomial
 from shardrisk.partitions import AverageAdversary, layout_from_split
 from shardrisk.probcore import kl_divergence
 from shardrisk.sizing import (
+    _log_tail_head,
     bracket_expansions,
     max_committees,
     min_committee_size,
@@ -94,6 +100,49 @@ class TestMinCommitteeSize:
     def test_nondecreasing_in_committee_count(self):
         values = [min_committee_size(k, 1e-2, THIRD, 0.25) for k in range(1, 13)]
         assert all(a <= b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("rate", [Fraction(1, 10), Fraction(1, 5), Fraction(1, 4)])
+    @pytest.mark.parametrize("delta_target", [0.5, 0.2, 0.1, 1e-2, 1e-3])
+    @pytest.mark.parametrize("k", [2, 3, 5, 10])
+    def test_exact_model_matches_linear_scan_oracle(self, k, delta_target, rate):
+        first, stable = scan_exact_m_committee_size(k, delta_target, rate, THIRD)
+        assert min_committee_size(k, delta_target, THIRD, rate, "exact") == stable
+        assert min_committee_size(k, delta_target, THIRD, rate, "exact",
+                                  require_stable=False) == first
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_negative_association_sandwich(self, k):
+        # the scan's decisions rest on 1 - (1 - T)^K <= delta <= K T
+        for n in range(1, 25):
+            for count in range(n * k + 1):
+                lower, upper = exact_m_sandwich(n, k, count, THIRD)
+                failing, _, ways = exact_m_failure_survival(((n, k),), count, THIRD)
+                assert lower <= Fraction(failing, ways) <= upper, (n, count)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_tail_head_is_a_lower_bound_on_the_marginal_tail(self, k):
+        # the scan rules a size out when this lower bound on T passes the cut
+        for n in range(1, 40):
+            total = n * k
+            cap = n // 3
+            for m in range(total + 1):
+                tail = sum(math.comb(n, j) * math.comb(total - n, m - j)
+                           for j in range(cap + 1, min(n, m) + 1))
+                log_tail = (math.log(Fraction(tail, math.comb(total, m)))
+                            if tail else -math.inf)
+                head = _log_tail_head(cap, n, total, m, math.inf)
+                assert head <= log_tail + 1e-12, (n, m)
+                if head > -math.inf:
+                    assert head > log_tail - 1e-3, (n, m)
+                early = _log_tail_head(cap, n, total, m, log_tail - 0.5)
+                assert early <= log_tail + 1e-12, (n, m)
+
+    @pytest.mark.parametrize("k, delta_target, expected",
+                             [(2, 1e-3, 141), (20, 1e-6, 768), (100, 1e-6, 891)])
+    def test_exact_model_pinned_sizes(self, k, delta_target, expected):
+        # linear-scan values; their rational oracle takes minutes
+        assert min_committee_size(k, delta_target, THIRD, Fraction(1, 4),
+                                  "exact") == expected
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
