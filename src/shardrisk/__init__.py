@@ -43,7 +43,6 @@ from .simulate import (
 from .sizing import (
     SizeBracket,
     SizingResult,
-    bracket_expansions,
     max_committees,
     min_committee_size,
     size_bracket,
@@ -66,7 +65,6 @@ __all__ = [
     "SizingResult",
     "TruncatedBinomialSummary",
     "binomial_tail_and_cdf",
-    "bracket_expansions",
     "delta_asymptotic",
     "delta_exact_binomial",
     "delta_exact_hypergeometric",

@@ -94,9 +94,12 @@ METHODS = {
 
 def _parse_rate(text: str) -> Fraction | float:
     """'1/3' parses to an exact rational, anything else to a float."""
-    if "/" in text:
+    if "/" not in text:
+        return float(text)
+    try:
         return Fraction(text)
-    return float(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"bad rate {text!r}: zero denominator") from None
 
 
 def _parse_layout(text: str) -> CommitteeLayout:
@@ -562,7 +565,7 @@ def main(argv=None) -> int:
         _emit(rows, columns, args.format, args.output)
     except SystemExit as exit_:
         return int(exit_.code or 0)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # a defect, reported on one line like any other error

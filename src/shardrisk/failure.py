@@ -104,50 +104,25 @@ class DeltaResult:
     warnings: tuple[str, ...] = ()
 
 
-def _result_from_log_survival(method, log_survival, *, precondition_ok=True,
-                              clamped=False, warnings=()) -> DeltaResult:
-    log_survival = min(log_survival, 0.0)
-    log_delta = log1mexp(log_survival)
-    return DeltaResult(
-        delta=math.exp(log_delta),
-        method=method,
-        log_delta=log_delta,
-        log_survival=log_survival,
-        raw_log_delta=log_delta,
-        clamped=clamped,
-        precondition_ok=precondition_ok,
-        warnings=tuple(warnings),
-    )
+def _result(method, raw_log_delta, log_survival=None, *, clamped=None,
+            precondition_ok=True, warnings=()) -> DeltaResult:
+    """A DeltaResult from the raw (pre-clamp) log failure probability.
 
-
-def _result_from_both_sides(method, log_delta, log_survival, *,
-                            precondition_ok=True, warnings=()) -> DeltaResult:
-    """Failure and survival probabilities computed natively in their own
-    log domains; neither is derived from the other, so each keeps full
-    relative accuracy at its extreme."""
-    return DeltaResult(
-        delta=math.exp(min(log_delta, 0.0)),
-        method=method,
-        log_delta=min(log_delta, 0.0),
-        log_survival=min(log_survival, 0.0),
-        raw_log_delta=log_delta,
-        clamped=False,
-        precondition_ok=precondition_ok,
-        warnings=tuple(warnings),
-    )
-
-
-def _result_from_raw_log_delta(method, raw_log_delta, *, precondition_ok=True,
-                               warnings=()) -> DeltaResult:
-    clamped = raw_log_delta > 0.0
+    ``log_survival`` is given when it was computed natively in its own log
+    domain, so each side keeps full relative accuracy at its extreme;
+    otherwise it is derived from the clamped failure side.  ``clamped``
+    defaults to whether the raw value exceeds probability 1.
+    """
     log_delta = min(raw_log_delta, 0.0)
+    if log_survival is None:
+        log_survival = log1mexp(log_delta)
     return DeltaResult(
         delta=math.exp(log_delta),
         method=method,
         log_delta=log_delta,
-        log_survival=log1mexp(log_delta),
+        log_survival=min(log_survival, 0.0),
         raw_log_delta=raw_log_delta,
-        clamped=clamped,
+        clamped=raw_log_delta > 0.0 if clamped is None else clamped,
         precondition_ok=precondition_ok,
         warnings=tuple(warnings),
     )
@@ -203,7 +178,7 @@ def delta_exact_binomial(query: FailureQuery) -> DeltaResult:
         log_survival += mult * log_cdf
         log_tails.append((log_tail, mult))
     log_delta = stable_complement_product(log_tails)
-    return _result_from_both_sides("exact-binomial", log_delta, log_survival)
+    return _result("exact-binomial", log_delta, log_survival, clamped=False)
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +238,8 @@ class _TiltMoments(NamedTuple):
     """Means and variances of the tilted survival, failure and total laws."""
 
     groups: list[_GroupTilt]
-    surv_mean: float
-    surv_var: float
-    fail_mean: float
-    fail_var: float
+    surv: tuple[float, float]  # (mean, variance) of the survival law
+    fail: tuple[float, float]  # and of the failure law
     total_mean: float
     total_var: float
     log_total: float  # sum_g m_g ln T_g(e^u)
@@ -333,12 +306,14 @@ def _tilt_moments(groups: Sequence[_CapGroup], u: float) -> _TiltMoments:
         excess += weight * gap
         fail_var += weight * extra
     fail_var = max(fail_var - math.exp(-log_ratio) * excess * excess, 0.0)
-    return _TiltMoments(tilted, surv_mean, surv_var, surv_mean + excess, fail_var,
+    return _TiltMoments(tilted, (surv_mean, surv_var), (surv_mean + excess, fail_var),
                         total_mean, total_var, log_total, log_ratio)
 
 
-def _saddle_tilt(mean_var, target: int, u: float) -> float:
-    """Tilt u at which the tilted mean lies within a quarter deviation of target.
+def _saddle_tilt(groups: Sequence[_CapGroup], target: int, u: float,
+                 side: str) -> tuple[float, _TiltMoments]:
+    """Tilt u at which the ``side`` ("surv" or "fail") tilted mean lies within
+    a quarter deviation of target, and the moments at that u.
 
     Safeguarded Newton on the mean, which increases in u with slope equal
     to the variance: a step leaving the bracket known so far is replaced by
@@ -347,17 +322,18 @@ def _saddle_tilt(mean_var, target: int, u: float) -> float:
     """
     lo, hi = -_TILT_BOUND, _TILT_BOUND
     for _ in range(_TILT_STEPS):
-        mean, var = mean_var(u)
+        tilt = _tilt_moments(groups, u)
+        mean, var = getattr(tilt, side)
         gap = mean - target
         if 16.0 * gap * gap <= max(var, 1.0) or hi - lo < 1e-9:
-            break
+            return u, tilt
         if gap < 0.0:
             lo = u
         else:
             hi = u
         step = u - gap / var if var > 0.0 else math.nan
         u = step if lo < step < hi else 0.5 * (lo + hi)
-    return u
+    return u, _tilt_moments(groups, u)
 
 
 def _coefficient(spectrum: np.ndarray, index: int, length: int) -> float:
@@ -411,10 +387,9 @@ def _normalised(log_side: float, total: np.ndarray, tilt: _TiltMoments, u: float
     return log_side + tilt.log_total - target * u - log_norm
 
 
-def _log_survival(groups: Sequence[_CapGroup], target: int, u: float, length: int,
-                  log_norm: float) -> float:
+def _log_survival(groups: Sequence[_CapGroup], target: int, u: float,
+                  tilt: _TiltMoments, length: int, log_norm: float) -> float:
     """ln P(survival): z^M coefficient of prod_g S_g^m_g at tilt u."""
-    tilt = _tilt_moments(groups, u)
     side = total = 1.0
     for g, gt in zip(groups, tilt.groups):
         s_hat, _, t_hat = _spectra(g, gt, length)
@@ -425,15 +400,14 @@ def _log_survival(groups: Sequence[_CapGroup], target: int, u: float, length: in
     return _normalised(log_side, total, tilt, u, target, length, log_norm)
 
 
-def _log_failure(groups: Sequence[_CapGroup], target: int, u: float, length: int,
-                 log_norm: float) -> float:
+def _log_failure(groups: Sequence[_CapGroup], target: int, u: float,
+                 tilt: _TiltMoments, length: int, log_norm: float) -> float:
     """ln P(failure): upper-right z^M coefficient of prod_g [[S, F], [0, T]]^m_g.
 
     F_g is carried at unit mass with its own log scale ln(F_g / T_g), and the
     accumulated entry with the largest scale so far: a failure far below
     1e-300 at this tilt would otherwise underflow to zero.
     """
-    tilt = _tilt_moments(groups, u)
     corner = total = 1.0
     side, scale = 0.0, LOG_ZERO
     for g, gt in zip(groups, tilt.groups):
@@ -489,9 +463,9 @@ def delta_exact_hypergeometric(query: FailureQuery) -> DeltaResult:
         top = min(size, m)
         runs.append((size, mult, top, min(floor_rate_multiple(query.threshold, size), top)))
     if all(cap == top for _, _, top, cap in runs):
-        return _result_from_both_sides("exact-hypergeometric", LOG_ZERO, 0.0)
+        return _result("exact-hypergeometric", LOG_ZERO, 0.0, clamped=False)
     if m > sum(mult * cap for _, mult, _, cap in runs):
-        return _result_from_both_sides("exact-hypergeometric", 0.0, LOG_ZERO)
+        return _result("exact-hypergeometric", 0.0, LOG_ZERO, clamped=False)
     degree = sum(mult * top for _, mult, top, _ in runs)
     # no z^(M +- L) term exists, so the length-L circular product has no alias at z^M
     length = next_fast_len(max(m, degree - m) + 1, real=True)
@@ -503,44 +477,31 @@ def delta_exact_hypergeometric(query: FailureQuery) -> DeltaResult:
         groups.append(_CapGroup(cap, top, mult, log_coeffs, counts, counts * counts))
     log_norm = log_binomial_coefficient(n_total, m)
     u0 = math.log(m / (n_total - m))
-
-    def surv_moments(u):
-        tilt = _tilt_moments(groups, u)
-        return tilt.surv_mean, tilt.surv_var
-
-    def fail_moments(u):
-        tilt = _tilt_moments(groups, u)
-        return tilt.fail_mean, tilt.fail_var
-
-    log_survival = _log_survival(groups, m, _saddle_tilt(surv_moments, m, u0),
+    log_survival = _log_survival(groups, m, *_saddle_tilt(groups, m, u0, "surv"),
                                  length, log_norm)
-    log_delta = _log_failure(groups, m, _saddle_tilt(fail_moments, m, u0),
+    log_delta = _log_failure(groups, m, *_saddle_tilt(groups, m, u0, "fail"),
                              length, log_norm)
-    return _result_from_both_sides("exact-hypergeometric", log_delta, log_survival)
+    return _result("exact-hypergeometric", log_delta, log_survival, clamped=False)
 
 
 # ---------------------------------------------------------------------------
-# Chernoff-type sandwich bounds (fixed committee sizes, independent rates)
+# KL bounds: Chernoff-type sandwich and union (Boole) bounds
+
+_PRECONDITION_WARNING = "bound precondition violated for some committee"
 
 
-def _committee_kl_terms(groups):
-    """Per committee group: (mult, log tail bounds or None when degenerate).
+def _kl_walk(groups):
+    """(weight, size, rate, q, D(q || rate)) per (size, rate, cap, weight) group.
 
-    Yields (mult, kind, data) with kind one of:
-      'never'  - threshold count above committee size, tail is exactly 0
-      'bad'    - bound precondition violated, degrade to trivial bound 1
-      'ok'     - data = (size, rate, q, divergence)
+    q = (cap + 1) / size is the failing fraction.  D is None where the
+    precondition rate < q < 1 fails (the bound degrades to 1); groups that
+    can never fail (tail exactly 0) are skipped.
     """
-    for size, rate, cap, mult in groups:
-        fail_at = cap + 1
-        if fail_at > size:
-            yield mult, "never", None
+    for size, rate, cap, weight in groups:
+        if cap >= size:
             continue
-        q = fail_at / size
-        if not rate < q < 1.0:
-            yield mult, "bad", None
-            continue
-        yield mult, "ok", (size, rate, q, kl_divergence(q, rate))
+        q = (cap + 1) / size
+        yield weight, size, rate, q, kl_divergence(q, rate) if rate < q < 1.0 else None
 
 
 def theorem1_bounds(query: FailureQuery) -> tuple[DeltaResult, DeltaResult, DeltaResult]:
@@ -564,67 +525,50 @@ def theorem1_bounds(query: FailureQuery) -> tuple[DeltaResult, DeltaResult, Delt
     ash_terms: list[tuple[float, int]] = []
     ferrante_terms: list[tuple[float, int]] = []
     precondition_ok = True
-    warnings = []
-    for mult, kind, data in _committee_kl_terms(_average_groups(query)):
-        if kind == "never":
-            continue
-        if kind == "bad":
+    for mult, size, rate, q, div in _kl_walk(_average_groups(query)):
+        if div is None:
             precondition_ok = False
-            lower_terms.append((0.0, mult))  # log 1
-            ash_terms.append((0.0, mult))
-            ferrante_terms.append((0.0, mult))
-            continue
-        size, rate, q, div = data
-        log_ash = -size * div
-        log_lower = log_ash - 0.5 * math.log(8.0 * size * q * (1.0 - q))
-        r = rate * (1.0 - q) / (q * (1.0 - rate))
-        log_ferrante = (
-            log_ash
-            - math.log1p(-r)
-            - 0.5 * math.log(2.0 * math.pi * q * (1.0 - q) * size)
-        )
+            log_lower = log_ash = log_ferrante = 0.0  # log 1
+        else:
+            log_ash = -size * div
+            log_lower = log_ash - 0.5 * math.log(8.0 * size * q * (1.0 - q))
+            r = rate * (1.0 - q) / (q * (1.0 - rate))
+            log_ferrante = (
+                log_ash
+                - math.log1p(-r)
+                - 0.5 * math.log(2.0 * math.pi * q * (1.0 - q) * size)
+            )
         lower_terms.append((min(log_lower, 0.0), mult))
         ash_terms.append((min(log_ash, 0.0), mult))
         ferrante_terms.append((min(log_ferrante, 0.0), mult))
-    if not precondition_ok:
-        warnings.append("bound precondition violated for some committee")
-
-    def combined(method, terms):
-        return _result_from_raw_log_delta(
-            method, stable_complement_product(terms),
-            precondition_ok=precondition_ok, warnings=warnings,
-        )
-
-    return (
-        combined("theorem1-lower", lower_terms),
-        combined("theorem1-upper-ash", ash_terms),
-        combined("theorem1-upper-ferrante", ferrante_terms),
+    warnings = () if precondition_ok else (_PRECONDITION_WARNING,)
+    return tuple(
+        _result(method, stable_complement_product(terms),
+                precondition_ok=precondition_ok, warnings=warnings)
+        for method, terms in (("theorem1-lower", lower_terms),
+                              ("theorem1-upper-ash", ash_terms),
+                              ("theorem1-upper-ferrante", ferrante_terms))
     )
 
 
-# ---------------------------------------------------------------------------
-# union bounds
+def _union_kl(method: str, groups, warning: str) -> DeltaResult:
+    """Union bound sum_mu exp(-n_mu D(q_mu || p_mu)) over (size, rate, cap, mult)
+    groups; a committee violating p < q < 1 adds the trivial bound 1."""
+    terms = []
+    precondition_ok = True
+    for mult, size, _, _, div in _kl_walk(groups):
+        if div is None:
+            precondition_ok = False
+            div = 0.0  # mult committees, trivial bound 1 each
+        terms.append(math.log(mult) - size * div)
+    return _result(method, log_sum_exp(np.array(terms)),
+                   precondition_ok=precondition_ok,
+                   warnings=() if precondition_ok else (warning,))
 
 
 def union_bound_fixed_sizes(query: FailureQuery) -> DeltaResult:
     """Union bound sum_mu exp(-n_mu D(q_mu || p_mu)) for fixed sizes."""
-    terms = []
-    precondition_ok = True
-    for mult, kind, data in _committee_kl_terms(_average_groups(query)):
-        if kind == "never":
-            continue
-        if kind == "bad":
-            precondition_ok = False
-            terms.append(math.log(mult))  # mult committees, trivial bound 1 each
-            continue
-        size, _, _, div = data
-        terms.append(math.log(mult) - size * div)
-    raw = log_sum_exp(np.array(terms)) if terms else LOG_ZERO
-    warnings = () if precondition_ok else (
-        "bound precondition violated for some committee",)
-    return _result_from_raw_log_delta("union-fixed", raw,
-                                      precondition_ok=precondition_ok,
-                                      warnings=warnings)
+    return _union_kl("union-fixed", _average_groups(query), _PRECONDITION_WARNING)
 
 
 def union_bound_random_sizes(
@@ -656,37 +600,28 @@ def union_bound_random_sizes(
     a = rate_as_float(threshold, "threshold")
     if not 0.0 < a < 1.0:
         raise ValueError("threshold must lie strictly inside (0, 1)")
+    hints = [int(hint) for hint in size_hints]
+    if min(hints) < 1:
+        raise ValueError("size hints must be positive")
+    groups = [(hint, rate_as_float(rate, "rate"), floor_rate_multiple(threshold, hint),
+               prob_mu) for prob_mu, rate, hint in zip(probs, rates, hints)]
     tight_terms = []
     simple_terms = []
     precondition_ok = True
-    for prob_mu, rate, hint in zip(probs, rates, size_hints):
-        hint = int(hint)
-        if hint < 1:
-            raise ValueError("size hints must be positive")
-        rate = rate_as_float(rate, "rate")
-        cap = floor_rate_multiple(threshold, hint)
-        if cap >= hint:
-            tight_terms.append(LOG_ZERO)
-            simple_terms.append(LOG_ZERO)
-            continue
-        q = (cap + 1) / hint
-        if not rate < q < 1.0:
+    for prob_mu, _, _, _, div in _kl_walk(groups):
+        if div is None:
             precondition_ok = False
-            tight_terms.append(0.0)
-            simple_terms.append(0.0)
-            continue
-        decay = math.expm1(-kl_divergence(q, rate))  # exp(-D) - 1, in (-1, 0]
+        # exp(-D) - 1, in (-1, 0]; 0 gives the trivial bound 1 per committee
+        decay = 0.0 if div is None else math.expm1(-div)
         tight_terms.append(n_total * math.log1p(prob_mu * decay))
         simple_terms.append(n_total * prob_mu * decay)
-    warnings = () if precondition_ok else (
-        "bound precondition violated for some committee",)
-    tight = _result_from_raw_log_delta(
-        "union-random", log_sum_exp(np.array(tight_terms)),
-        precondition_ok=precondition_ok, warnings=warnings)
-    simple = _result_from_raw_log_delta(
-        "union-random-simple", log_sum_exp(np.array(simple_terms)),
-        precondition_ok=precondition_ok, warnings=warnings)
-    return tight, simple
+    warnings = () if precondition_ok else (_PRECONDITION_WARNING,)
+    return tuple(
+        _result(method, log_sum_exp(np.array(terms)),
+                precondition_ok=precondition_ok, warnings=warnings)
+        for method, terms in (("union-random", tight_terms),
+                              ("union-random-simple", simple_terms))
+    )
 
 
 def _marginal_log_tail(size: int, total: int, m: int, cap: int) -> float:
@@ -711,38 +646,19 @@ def union_bound_hypergeometric(query: FailureQuery) -> tuple[DeltaResult, DeltaR
     """Union bounds under the exactly-M model.
 
     Returns (exact tail sum, Hoeffding form).  The first sums the exact
-    per-committee marginal tails; the second replaces each tail by
-    exp(-n D(q || M/N)), valid when M/N < q < 1.
+    per-committee marginal tails; the second is the fixed-size union bound
+    at the global rate M/N, replacing each tail by exp(-n D(q || M/N)),
+    valid when M/N < q < 1.
     """
     m = _require_exact(query)
-    layout = query.layout
-    n_total = layout.total
-    global_rate = m / n_total
-    exact_terms = []
-    hoeffding_terms = []
-    precondition_ok = True
-    for size, mult in layout.runs:
-        cap = floor_rate_multiple(query.threshold, size)
-        if cap >= size:
-            continue
-        log_tail = _marginal_log_tail(size, n_total, m, cap)
-        if log_tail > LOG_ZERO:
-            exact_terms.append(math.log(mult) + log_tail)
-        q = (cap + 1) / size
-        if not global_rate < q < 1.0:
-            precondition_ok = False
-            hoeffding_terms.append(math.log(mult))
-            continue
-        hoeffding_terms.append(math.log(mult) - size * kl_divergence(q, global_rate))
-    warnings = () if precondition_ok else (
-        "Hoeffding precondition violated for some committee",)
-    exact = _result_from_raw_log_delta(
-        "union-hyper-exact",
-        log_sum_exp(np.array(exact_terms)) if exact_terms else LOG_ZERO,
-    )
-    hoeffding = _result_from_raw_log_delta(
-        "union-hyper-hoeffding",
-        log_sum_exp(np.array(hoeffding_terms)) if hoeffding_terms else LOG_ZERO,
-        precondition_ok=precondition_ok, warnings=warnings,
-    )
+    n_total = query.layout.total
+    groups = [(size, m / n_total, floor_rate_multiple(query.threshold, size), mult)
+              for size, mult in query.layout.runs]
+    exact_terms = [
+        math.log(mult) + log_tail for size, _, cap, mult in groups
+        if (log_tail := _marginal_log_tail(size, n_total, m, cap)) > LOG_ZERO
+    ]
+    exact = _result("union-hyper-exact", log_sum_exp(np.array(exact_terms)))
+    hoeffding = _union_kl("union-hyper-hoeffding", groups,
+                          "Hoeffding precondition violated for some committee")
     return exact, hoeffding

@@ -91,7 +91,7 @@ def log_sum_exp(terms: np.ndarray) -> float:
         return LOG_ZERO
     if math.isnan(m):
         raise ValueError("log_sum_exp received NaN")
-    return m + math.log(math.fsum(np.exp(arr - m)))
+    return m + math.log(math.fsum(np.exp(arr - m).tolist()))
 
 
 def _check_count(value: int, name: str) -> int:

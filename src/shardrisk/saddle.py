@@ -28,12 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .failure import DeltaResult, _result_from_log_survival
+from .failure import DeltaResult, _result
 from .partitions import CommitteeLayout
 from .probcore import (
+    LOG_ZERO,
     RateLike,
     floor_rate_multiple,
     kl_divergence,
+    log1mexp,
     log_binomial_coefficients,
     rate_as_float,
 )
@@ -204,7 +206,7 @@ def delta_asymptotic(
     a = rate_as_float(threshold, "threshold")
     p = m / n_total
     if a >= 1.0:
-        return _result_from_log_survival("asymptotic", 0.0)
+        return _result("asymptotic", LOG_ZERO, 0.0, clamped=False)
     solution = solve_saddle(layout, p, threshold)
     log_prefactor = 0.5 * (
         math.log(n_total * p * (1.0 - p)) - math.log(solution.variance_sum)
@@ -221,7 +223,7 @@ def delta_asymptotic(
         warnings = (f"survival estimate exp({log_survival:.3e}) clamped to 1",)
     if not solution.converged:
         warnings = warnings + ("tilt solve did not reach residual tolerance",)
-    return _result_from_log_survival(
-        "asymptotic", min(log_survival, 0.0), clamped=clamped, warnings=warnings
-    )
+    log_survival = min(log_survival, 0.0)
+    return _result("asymptotic", log1mexp(log_survival), log_survival,
+                   clamped=clamped, warnings=warnings)
 

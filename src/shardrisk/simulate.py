@@ -34,11 +34,10 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
-from .failure import FailureQuery
+from .failure import FailureQuery, _average_groups
 from .partitions import AverageAdversary, ExactAdversary
 from .probcore import binomial_tail_and_cdf, floor_rate_multiple
 
@@ -93,24 +92,19 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 def _cap_cdfs(query: FailureQuery) -> np.ndarray:
     """P(count <= cap) per committee under the average model.
 
-    Evaluated once per run of equal (size, rate) neighbours and repeated
+    Evaluated once per group of equal (size, rate) committees and repeated
     over its committees; +inf where the cap reaches the committee size, so
     that committee draws its uniform but never fails.
     """
-    layout = query.layout
-    adversary = query.adversary
-    if isinstance(adversary.rate, tuple):
-        pairs = zip(layout.sizes, adversary.rates_for(layout.committee_count))
-        runs = [(pair, sum(1 for _ in group)) for pair, group in groupby(pairs)]
-    else:
-        rate = float(adversary.rate)
-        runs = [((size, rate), mult) for size, mult in layout.runs]
-    cdf = {}
-    for size, rate in dict.fromkeys(pair for pair, _ in runs):
-        cap = floor_rate_multiple(query.threshold, size)
-        cdf[size, rate] = (math.inf if cap >= size else
-                           math.exp(binomial_tail_and_cdf(size, rate, cap)[0]))
-    return np.repeat([cdf[pair] for pair, _ in runs], [mult for _, mult in runs])
+    cdf = {(size, rate): math.inf if cap >= size else
+           math.exp(binomial_tail_and_cdf(size, rate, cap)[0])
+           for size, rate, cap, _ in _average_groups(query)}
+    layout, rate = query.layout, query.adversary.rate
+    if isinstance(rate, tuple):
+        rates = query.adversary.rates_for(layout.committee_count)
+        return np.array([cdf[pair] for pair in zip(layout.sizes, rates)])
+    return np.repeat([cdf[size, float(rate)] for size, _ in layout.runs],
+                     [mult for _, mult in layout.runs])
 
 
 def _exact_failures(rng: np.random.Generator, query: FailureQuery, count: int,

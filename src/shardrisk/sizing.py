@@ -9,8 +9,7 @@ count and finds the smallest per-committee size meeting the target by
 one linear scan, ``scan_committee_size``, which the CLI's sweep-n also
 uses for every method.
 
-``size_bracket`` gives closed-form bounds on that smallest size, and
-``bracket_expansions`` provides the truncated series showing both bracket
+``size_bracket`` gives closed-form bounds on that smallest size; both
 endpoints grow only logarithmically in the committee count (and in the
 inverse target).
 """
@@ -44,10 +43,14 @@ from .probcore import (
     rate_as_float,
 )
 
+# largest committee size the sizing scan tries
+MAX_SIZE = 1_000_000
+# integer n scanned for the maximum defining f_tilde in ``size_bracket``
+F_TILDE_SCAN_LIMIT = 10_000
+
 __all__ = [
     "SizeBracket",
     "SizingResult",
-    "bracket_expansions",
     "max_committees",
     "min_committee_size",
     "scan_committee_size",
@@ -82,12 +85,8 @@ def _validate_target(delta_target: RateLike) -> float:
     return d
 
 
-def _split_delta(total_nodes: int, committees: int, threshold, rate) -> float:
-    query = FailureQuery(
-        layout_from_split(total_nodes, committees),
-        AverageAdversary(rate),
-        threshold,
-    )
+def _average_delta(layout: CommitteeLayout, threshold, rate) -> float:
+    query = FailureQuery(layout, AverageAdversary(rate), threshold)
     return delta_exact_binomial(query).delta
 
 
@@ -124,7 +123,8 @@ def max_committees(
     iterations = 0
     for committees in range(2, n_total + 1):
         base, rem = divmod(n_total, committees)
-        prob = _split_delta(n_total, committees, threshold, adversary_rate)
+        prob = _average_delta(layout_from_split(n_total, committees), threshold,
+                              adversary_rate)
         iterations += 1
         if prob <= target:
             best = (committees, base, rem, prob)
@@ -138,21 +138,18 @@ def max_committees(
 
 
 def scan_committee_size(
-    feasible: Callable[[int], bool],
-    *,
-    max_size: int = 1_000_000,
-    require_stable: bool = True,
+    feasible: Callable[[int], bool], *, require_stable: bool = True
 ) -> int:
-    """Smallest n in 1..max_size with ``feasible(n)``, by a linear scan.
+    """Smallest n in 1..MAX_SIZE with ``feasible(n)``, by a linear scan.
 
     With ``require_stable`` the size n + 1 must be feasible too (unless n
-    is ``max_size``).  ``feasible`` is called at most once per n.
+    is ``MAX_SIZE``).  ``feasible`` is called at most once per n.
     """
     ok = functools.cache(feasible)
-    for n in range(1, max_size + 1):
-        if ok(n) and (not require_stable or n == max_size or ok(n + 1)):
+    for n in range(1, MAX_SIZE + 1):
+        if ok(n) and (not require_stable or n == MAX_SIZE or ok(n + 1)):
             return n
-    raise ValueError(f"no committee size up to {max_size} meets the target")
+    raise ValueError(f"no committee size up to {MAX_SIZE} meets the target")
 
 
 def _log_tail_head(cap: int, size: int, total: int, m: int, goal: float) -> float:
@@ -177,7 +174,6 @@ def min_committee_size(
     adversary_rate: RateLike,
     model: str = "average",
     *,
-    max_size: int = 1_000_000,
     require_stable: bool = True,
 ) -> int:
     """Smallest committee size n meeting the target with K equal committees.
@@ -214,8 +210,7 @@ def min_committee_size(
     if model == "average":
         def feasible(n: int) -> bool:
             layout = CommitteeLayout.from_runs(((n, k),))
-            query = FailureQuery(layout, AverageAdversary(adversary_rate), threshold)
-            return delta_exact_binomial(query).delta <= target
+            return _average_delta(layout, threshold, adversary_rate) <= target
     else:
         # T above this puts the sandwich's lower end 1 - (1 - T)^K over the target
         log_tail_cut = -_log_per_committee_budget(target, k)
@@ -237,8 +232,7 @@ def min_committee_size(
                 return False
             return delta_exact_hypergeometric(query).delta <= target
 
-    return scan_committee_size(feasible, max_size=max_size,
-                               require_stable=require_stable)
+    return scan_committee_size(feasible, require_stable=require_stable)
 
 
 def _log_per_committee_budget(delta_target: float, committees: int) -> float:
@@ -247,13 +241,27 @@ def _log_per_committee_budget(delta_target: float, committees: int) -> float:
     return -math.log(inner)
 
 
+@functools.lru_cache(maxsize=1024)
+def _f_tilde(a: float, p: float) -> float:
+    """f_tilde(A) of ``size_bracket``: it depends on (A, P) only, so each
+    pair is scanned once."""
+    f_tilde = -math.inf
+    for n in range(1, F_TILDE_SCAN_LIMIT + 1):
+        arg = a + 1.0 / n
+        if arg >= 1.0:
+            continue
+        value = kl_divergence(arg, p) + math.log(arg * (1.0 - arg)) / (2.0 * n)
+        f_tilde = max(f_tilde, value)
+    if not math.isfinite(f_tilde):
+        raise ValueError("f_tilde scan found no admissible argument below 1")
+    return f_tilde
+
+
 def size_bracket(
     committees: int,
     delta_target: RateLike,
     threshold: RateLike,
     adversary_rate: RateLike,
-    *,
-    f_tilde_scan_limit: int = 10_000,
 ) -> SizeBracket:
     """Closed-form bracket on the minimal committee size for K committees.
 
@@ -261,8 +269,9 @@ def size_bracket(
     lower:  (1 - log 8 + 2 * budget) / (2 * f_tilde(A) + 1)
 
     where f_tilde(A) maximises D(A + 1/n || P) + log((A+1/n)(1-A-1/n))/(2n)
-    over integer n, restricted to arguments inside (P, 1).  The budget term
-    survives committee counts up to 1e9 thanks to log1p/expm1 evaluation.
+    over integer n up to F_TILDE_SCAN_LIMIT, restricted to arguments inside
+    (P, 1).  The budget term survives committee counts up to 1e9 thanks to
+    log1p/expm1 evaluation.
     """
     k = int(committees)
     if k < 1:
@@ -276,37 +285,6 @@ def size_bracket(
         )
     budget = _log_per_committee_budget(target, k)
     upper = budget / kl_divergence(a, p)
-    f_tilde = -math.inf
-    for n in range(1, f_tilde_scan_limit + 1):
-        arg = a + 1.0 / n
-        if arg >= 1.0:
-            continue
-        value = kl_divergence(arg, p) + math.log(arg * (1.0 - arg)) / (2.0 * n)
-        f_tilde = max(f_tilde, value)
-    if not math.isfinite(f_tilde):
-        raise ValueError("f_tilde scan found no admissible argument below 1")
+    f_tilde = _f_tilde(a, p)
     lower = (1.0 - math.log(8.0) + 2.0 * budget) / (2.0 * f_tilde + 1.0)
     return SizeBracket(lower=lower, upper=upper, f_tilde=f_tilde)
-
-
-def bracket_expansions(delta_target: RateLike, committees: int) -> tuple[float, float]:
-    """Truncated series for the bracket budget -log(1 - (1-delta)^(1/K)).
-
-    Returns (large-K series through the K^-4 term, small-delta series
-    through the delta^1 term); both are diagnostics to compare against the
-    exact expression.
-    """
-    target = _validate_target(delta_target)
-    k = int(committees)
-    if k < 1:
-        raise ValueError(f"committees must be positive, got {committees}")
-    c = -math.log1p(-target)  # -log(1 - delta) > 0
-    large_k = (
-        -math.log(c)
-        + math.log(k)
-        + c / (2.0 * k)
-        - c * c / (24.0 * k * k)
-        + c ** 4 / (2880.0 * k ** 4)
-    )
-    small_delta = math.log(k) - math.log(target) - target * (k - 1) / (2.0 * k)
-    return large_k, small_delta

@@ -4,8 +4,8 @@ Everything here is deliberately naive: exhaustive enumeration with exact
 integer weights where possible, so the fast implementations are checked
 against arithmetic that cannot share their failure modes.  Reference
 helpers that the library itself does not call live here too: the joint
-log-pmfs of the partition family, the failure threshold and one-draw count
-samplers.
+log-pmfs of the partition family, the failure threshold, one-draw count
+samplers and the series expansions of the size-bracket budget.
 """
 
 from __future__ import annotations
@@ -375,3 +375,29 @@ def multivariate_hypergeometric_log_pmf(
     for c, size in zip(counts, layout.sizes):
         out += log_binomial_coefficient(size, c)
     return min(out, 0.0)
+
+
+def bracket_expansions(delta_target: float, committees: int) -> tuple[float, float]:
+    """Truncated series for the bracket budget -log(1 - (1-delta)^(1/K)).
+
+    Returns (large-K series through the K^-4 term, small-delta series
+    through the delta^1 term); both are diagnostics to compare against the
+    exact expression, showing the budget grows only logarithmically in K
+    and in 1/delta.
+    """
+    target = float(delta_target)
+    if not 0.0 < target < 1.0:
+        raise ValueError(f"delta_target must lie strictly inside (0, 1), got {target!r}")
+    k = int(committees)
+    if k < 1:
+        raise ValueError(f"committees must be positive, got {committees}")
+    c = -math.log1p(-target)  # -log(1 - delta) > 0
+    large_k = (
+        -math.log(c)
+        + math.log(k)
+        + c / (2.0 * k)
+        - c * c / (24.0 * k * k)
+        + c ** 4 / (2880.0 * k ** 4)
+    )
+    small_delta = math.log(k) - math.log(target) - target * (k - 1) / (2.0 * k)
+    return large_k, small_delta

@@ -31,6 +31,7 @@ import pytest
 
 from oracles import (
     binomial_failure_enumeration,
+    bracket_expansions,
     curvature_at_tilt,
     hypergeometric_failure_table,
     hypergeometric_marginal_log_pmf_alternate,
@@ -60,7 +61,6 @@ from shardrisk.saddle import (
 )
 from shardrisk.simulate import SimulationPlan, estimate_delta
 from shardrisk.sizing import (
-    bracket_expansions,
     max_committees,
     min_committee_size,
     size_bracket,

@@ -1,4 +1,6 @@
 import csv
+import importlib
+import importlib.util
 import io
 import json
 import math
@@ -89,6 +91,16 @@ class TestDeltaCommand:
             "--threshold", "1/3", "--method", "exact-binomial",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("threshold, frac", [("1/0", "1/4"), ("1/3", "1/0")])
+    def test_zero_denominator_rate_is_usage_error(self, capsys, threshold, frac):
+        code, out, err = run_cli(
+            capsys, "delta", "--nodes", "100", "--committees", "2",
+            "--adversary-frac", frac, "--threshold", threshold,
+            "--method", "exact-binomial",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("usage:") and "zero denominator" in err
 
     def test_domain_error_exits_one(self, capsys):
         code, _, err = run_cli(
@@ -362,6 +374,18 @@ class TestSweepCommand:
         assert out == ""
         assert "strictly inside (0, 1)" in err
 
+    @pytest.mark.parametrize("where", ["--config", "--output"])
+    def test_missing_path_is_plain_error(self, capsys, tmp_path, where):
+        missing = str(tmp_path / "absent" / "x")
+        argv = ["sweep", "--config", missing] if where == "--config" else [
+            "sweep", "--mode", "sweep-k", "--nodes", "100", "--k-range", "2:3",
+            "--threshold", "1/3", "--adversary-frac", "1/4",
+            "--methods", "exact-binomial", "--output", missing]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "internal error" not in err and "No such file" in err
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "out.csv"
         code, out, _ = run_cli(
@@ -405,6 +429,19 @@ def test_registry_covers_every_tag():
     assert analytic == set(_GOLDEN["delta-split"]["argv"][-1].split(","))
     assert set(cli.METHODS) - analytic == {
         "monte-carlo", "monte-carlo-average", "monte-carlo-exact"}
+
+
+def test_traced_names_resolve():
+    """perfbench's tracer rebinds these names with getattr; a rename in the
+    library would break its --trace 1 runs."""
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module_name, names in tracing.TRACED.items():
+        module = importlib.import_module(f"shardrisk.{module_name}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{module_name}.{name}"
 
 
 class TestEvaluatorsRebindable:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    bracket_expansions,
     exact_m_failure_survival,
     exact_m_sandwich,
     scan_exact_m_committee_size,
@@ -14,7 +15,6 @@ from shardrisk.partitions import AverageAdversary, layout_from_split
 from shardrisk.probcore import kl_divergence
 from shardrisk.sizing import (
     _log_tail_head,
-    bracket_expansions,
     max_committees,
     min_committee_size,
     size_bracket,
