@@ -119,7 +119,18 @@ def _parse_range(text: str) -> list[int]:
     step = int(parts[2]) if len(parts) == 3 else 1
     if step < 1:
         raise argparse.ArgumentTypeError("range step must be positive")
+    if lo < 1:
+        raise argparse.ArgumentTypeError("committee counts start at 1")
+    if hi < lo:
+        raise argparse.ArgumentTypeError(f"empty committee-count range {text!r}")
     return list(range(lo, hi + 1, step))
+
+
+def _parse_tags(text: str) -> list[str]:
+    tags = [tag.strip() for tag in text.split(",") if tag.strip()]
+    if not tags:
+        raise argparse.ArgumentTypeError("expected a comma list of method tags")
+    return tags
 
 
 def _add_common_output(parser: argparse.ArgumentParser) -> None:
@@ -148,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_delta = sub.add_parser("delta", help="failure probability by one or more methods")
     _add_query_flags(p_delta)
-    p_delta.add_argument("--method", required=True,
+    p_delta.add_argument("--method", type=_parse_tags, required=True,
                          help="comma list, e.g. exact-binomial,theorem1-upper-ash")
     _add_common_output(p_delta)
 
@@ -178,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--delta", type=float, default=None)
     p_sweep.add_argument("--threshold", type=_parse_rate, default=None)
     p_sweep.add_argument("--adversary-frac", type=_parse_rate, default=None)
-    p_sweep.add_argument("--methods", default=None, help="comma list of method tags")
+    p_sweep.add_argument("--methods", type=_parse_tags, default=None,
+                         help="comma list of method tags")
     p_sweep.add_argument("--samples", type=int, default=1_000_000)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--workers", type=int, default=1)
@@ -210,31 +222,43 @@ def _layout_from_args(args, parser) -> CommitteeLayout:
     return layout_from_split(args.nodes, args.committees)
 
 
-def _derive_count(args, parser, total: int) -> int:
-    if args.adversary_count is not None:
-        return args.adversary_count
-    if args.adversary_frac is not None:
-        return exact_count_from_rate(total, args.adversary_frac)
-    parser.error("this method needs --adversary-count or --adversary-frac")
+def _query(model: str, layout: CommitteeLayout, args, parser,
+           count: int | None = None) -> FailureQuery:
+    """The query of one method on a layout: nodes adversarial at rate P, or
+    exactly M adversaries, M given or round(N P)."""
+    frac = args.adversary_frac
+    if frac is None and model == "average":
+        parser.error("this method needs --adversary-frac")
+    if frac is None and count is None:
+        parser.error("this method needs --adversary-count or --adversary-frac")
+    if model == "average":
+        adversary = AverageAdversary(frac)
+    else:
+        adversary = ExactAdversary(
+            exact_count_from_rate(layout.total, frac) if count is None else count)
+    return FailureQuery(layout, adversary, args.threshold)
+
+
+def _evaluate(tag: str, query: FailureQuery, args) -> DeltaResult | DeltaEstimate:
+    """One method tag on one query: its analytic evaluator, or a Monte Carlo
+    estimate with the samples, seed and workers of ``args``."""
+    evaluate = METHODS[tag].evaluate
+    if evaluate is not None:
+        return evaluate(query)
+    return estimate_delta(SimulationPlan(query=query, samples=args.samples,
+                                         seed=args.seed, workers=args.workers))
 
 
 def _delta_rows(tags, layout: CommitteeLayout, args, parser):
-    """One DeltaResult row per analytic method tag, on rate P, or on count M
-    given or round(N P)."""
+    """One DeltaResult row per analytic method tag."""
     rows = []
     for tag in tags:
         if tag not in METHODS:
             parser.error(f"unknown method {tag!r}")
-        model, evaluate = METHODS[tag]
-        if evaluate is None:
+        if METHODS[tag].evaluate is None:
             parser.error("use the simulate subcommand for Monte Carlo estimates")
-        if model == "exact":
-            adversary = ExactAdversary(_derive_count(args, parser, layout.total))
-        elif args.adversary_frac is None:
-            parser.error("this method needs --adversary-frac")
-        else:
-            adversary = AverageAdversary(args.adversary_frac)
-        result = evaluate(FailureQuery(layout, adversary, args.threshold))
+        query = _query(METHODS[tag].model, layout, args, parser, args.adversary_count)
+        result = _evaluate(tag, query, args)
         rows.append({**vars(result), "warnings": ";".join(result.warnings)})
     return rows, _DELTA_COLUMNS
 
@@ -244,11 +268,7 @@ def _delta_rows(tags, layout: CommitteeLayout, args, parser):
 
 
 def _cmd_delta(args, parser):
-    layout = _layout_from_args(args, parser)
-    tags = [t.strip() for t in args.method.split(",") if t.strip()]
-    if not tags:
-        parser.error("--method must list at least one method tag")
-    return _delta_rows(tags, layout, args, parser)
+    return _delta_rows(args.method, _layout_from_args(args, parser), args, parser)
 
 
 def _cmd_bounds(args, parser):
@@ -287,6 +307,9 @@ def _cmd_size(args, parser):
             "bracket_upper": None if bracket is None else bracket.upper,
         }
         return [row], ["K", "n", "model", "bracket_lower", "bracket_upper"]
+    if args.model != "average":
+        # max_committees has the average model only
+        parser.error("--model applies only with --min-n-for-K")
     if args.nodes is None:
         parser.error("size needs --nodes (or --min-n-for-K)")
     result = max_committees(args.nodes, args.delta, args.threshold,
@@ -302,20 +325,10 @@ def _cmd_size(args, parser):
 
 
 def _cmd_simulate(args, parser):
-    layout = _layout_from_args(args, parser)
-    if args.adversary_count is not None:
-        adversary = ExactAdversary(args.adversary_count)
-    elif args.adversary_frac is not None:
-        adversary = AverageAdversary(args.adversary_frac)
-    else:
-        parser.error("need --adversary-frac or --adversary-count")
-    plan = SimulationPlan(
-        query=FailureQuery(layout, adversary, args.threshold),
-        samples=args.samples,
-        seed=args.seed,
-        workers=args.workers,
-    )
-    estimate = estimate_delta(plan)
+    model = "average" if args.adversary_count is None else "exact"
+    query = _query(model, _layout_from_args(args, parser), args, parser,
+                   args.adversary_count)
+    estimate = _evaluate(f"monte-carlo-{model}", query, args)
     row = {
         "delta_hat": estimate.delta_hat,
         "std_error": estimate.std_error,
@@ -330,89 +343,48 @@ def _cmd_simulate(args, parser):
 # ---------------------------------------------------------------------------
 # sweeps
 
+# sweep config keys; each is read as the sweep flag of its name
+_CONFIG_KEYS = ("mode", "nodes", "k_range", "delta_target", "threshold",
+                "adversary_frac", "methods", "samples", "seed", "workers")
 
-def _sweep_config(args, parser) -> dict:
-    if args.config is not None:
-        raw = json.loads(Path(args.config).read_text())
-        if raw.get("schema") != CONFIG_SCHEMA_VERSION:
-            parser.error(
-                f"config schema must be {CONFIG_SCHEMA_VERSION}, got {raw.get('schema')!r}")
-        k_range = raw.get("k_range")
-        if isinstance(k_range, list) and len(k_range) in (2, 3):
-            k_values = list(range(k_range[0], k_range[1] + 1,
-                                  k_range[2] if len(k_range) == 3 else 1))
-        else:
-            parser.error("config k_range must be [lo, hi] or [lo, hi, step]")
-        def rate_of(key):
-            value = raw.get(key)
-            if value is None:
-                return None
-            return _parse_rate(value) if isinstance(value, str) else float(value)
-        config = {
-            "mode": raw.get("mode"),
-            "nodes": raw.get("nodes"),
-            "k_values": k_values,
-            "delta_target": raw.get("delta_target"),
-            "threshold": rate_of("threshold"),
-            "adversary_frac": rate_of("adversary_frac"),
-            "methods": raw.get("methods"),
-            "samples": raw.get("samples", 1_000_000),
-            "seed": raw.get("seed", 0),
-            "workers": raw.get("workers", 1),
-        }
-    else:
-        config = {
-            "mode": args.mode,
-            "nodes": args.nodes,
-            "k_values": args.k_range,
-            "delta_target": args.delta,
-            "threshold": args.threshold,
-            "adversary_frac": args.adversary_frac,
-            "methods": None if args.methods is None else [
-                t.strip() for t in args.methods.split(",") if t.strip()],
-            "samples": args.samples,
-            "seed": args.seed,
-            "workers": args.workers,
-        }
-    if config["mode"] not in ("sweep-k", "sweep-n"):
+
+def _config_args(path: str, parser) -> argparse.Namespace:
+    """The sweep flags a JSON config file stands for, parsed as if given on
+    the command line; a list value becomes 'lo:hi[:step]' or a comma list."""
+    raw = json.loads(Path(path).read_text())
+    if not isinstance(raw, dict) or raw.get("schema") != CONFIG_SCHEMA_VERSION:
+        parser.error("a sweep config must be a JSON object with "
+                     f'"schema": {CONFIG_SCHEMA_VERSION}')
+    argv = ["sweep"]
+    for key in _CONFIG_KEYS:
+        flag = "--delta" if key == "delta_target" else "--" + key.replace("_", "-")
+        value = raw.get(key)
+        if isinstance(value, list):
+            value = (":" if key == "k_range" else ",").join(map(str, value))
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    return parser.parse_args(argv)
+
+
+def _check_sweep(args, parser) -> None:
+    if args.mode is None:
         parser.error("sweep needs --mode sweep-k or sweep-n (or a config file)")
-    if not config["k_values"]:
-        parser.error("empty committee-count range")
-    if config["threshold"] is None:
-        parser.error("sweep needs --threshold")
-    if not config["methods"]:
-        parser.error("sweep needs --methods")
-    if config["adversary_frac"] is None:
-        parser.error("sweep needs --adversary-frac")
-    known = set(METHODS) if config["mode"] == "sweep-k" else {
+    for dest in ("k_range", "threshold", "methods", "adversary_frac"):
+        if getattr(args, dest) is None:
+            parser.error(f"sweep needs --{dest.replace('_', '-')}")
+    known = set(METHODS) if args.mode == "sweep-k" else {
         "bracket", *(tag for tag, method in METHODS.items() if method.evaluate)}
-    for tag in config["methods"]:
+    for tag in args.methods:
         if tag not in known:
-            parser.error(f"unknown method {tag!r} for {config['mode']}")
-    if config["mode"] == "sweep-k" and config["nodes"] is None:
-        parser.error("sweep-k needs --nodes")
-    target = config["delta_target"]
-    if config["mode"] == "sweep-n" and (target is None or not 0.0 < target < 1.0):
+            parser.error(f"unknown method {tag!r} for {args.mode}")
+    if args.mode == "sweep-k":
+        if args.nodes is None:
+            parser.error("sweep-k needs --nodes")
+    elif args.delta is None or not 0.0 < args.delta < 1.0:
         parser.error("sweep-n needs --delta strictly inside (0, 1)")
-    return config
-
-
-def _cell_query(model: str, layout: CommitteeLayout, config) -> FailureQuery:
-    """The query of a sweep cell: rate P, or count round(N P)."""
-    frac = config["adversary_frac"]
-    adversary = (AverageAdversary(frac) if model == "average"
-                 else ExactAdversary(exact_count_from_rate(layout.total, frac)))
-    return FailureQuery(layout, adversary, config["threshold"])
-
-
-def _sweep_k_cell(tag, layout, config):
-    model, evaluate = METHODS[tag]
-    query = _cell_query(model, layout, config)
-    if evaluate is not None:
-        return evaluate(query)
-    plan = SimulationPlan(query=query, samples=config["samples"],
-                          seed=config["seed"], workers=config["workers"])
-    return estimate_delta(plan)
+    elif not args.adversary_frac < args.threshold:
+        # at P >= A a size is degenerate or none is feasible (scans to MAX_SIZE)
+        parser.error("sweep-n needs --adversary-frac below --threshold")
 
 
 def _flags_of(result) -> str:
@@ -424,21 +396,22 @@ def _flags_of(result) -> str:
     return ";".join(flags)
 
 
-def _run_sweep_k(config):
+def _run_sweep_k(args, parser):
     columns = ["K", "n", "r"]
-    for tag in config["methods"]:
+    for tag in args.methods:
         columns.append(tag)
         if tag.startswith("monte-carlo"):
             columns.append(f"{tag}_se")
         columns.append(f"{tag}_flags")
     rows = []
-    for k in config["k_values"]:
-        layout = layout_from_split(config["nodes"], k)
-        base, rem = divmod(config["nodes"], k)
+    for k in args.k_range:
+        layout = layout_from_split(args.nodes, k)
+        base, rem = divmod(args.nodes, k)
         row = {"K": k, "n": base, "r": rem}
-        for tag in config["methods"]:
+        for tag in args.methods:
             try:
-                result = _sweep_k_cell(tag, layout, config)
+                result = _evaluate(
+                    tag, _query(METHODS[tag].model, layout, args, parser), args)
             except (ValueError, ArithmeticError) as exc:
                 row[f"{tag}_flags"] = f"error:{exc}"  # empty value cells
                 continue
@@ -453,52 +426,50 @@ def _run_sweep_k(config):
     return rows, columns
 
 
-def _sweep_n_cell(tag, k, config):
+def _sweep_n_cell(tag, k, args, parser):
     """Smallest stable committee size for K committees by one method."""
-    model, evaluate = METHODS[tag]
-    target = config["delta_target"]
+    model = METHODS[tag].model
     if tag in ("exact-binomial", "exact-hypergeometric"):
-        return min_committee_size(k, target, config["threshold"],
-                                  config["adversary_frac"], model)
+        return min_committee_size(k, args.delta, args.threshold,
+                                  args.adversary_frac, model)
 
     def delta_at(n: int) -> float:
         layout = CommitteeLayout.from_runs(((n, k),))
-        query = _cell_query(model, layout, config)
+        query = _query(model, layout, args, parser)
         if tag == "asymptotic":
             count = query.adversary.count
             if count in (0, layout.total):
                 return 0.0 if count == 0 else 1.0
             try:
-                return evaluate(query).delta
+                return _evaluate(tag, query, args).delta
             except ValueError:
                 # no tilt: the allowance cannot host the adversary mass,
                 # so such a small size is simply infeasible
                 return 1.0
-        return evaluate(query).delta
+        return _evaluate(tag, query, args).delta
 
-    return scan_committee_size(lambda n: delta_at(n) <= target)
+    return scan_committee_size(lambda n: delta_at(n) <= args.delta)
 
 
-def _run_sweep_n(config):
+def _run_sweep_n(args, parser):
     columns = ["K"]
-    for tag in config["methods"]:
+    for tag in args.methods:
         if tag == "bracket":
             columns += ["bracket-lower", "bracket-upper"]
         else:
             columns += [tag, f"{tag}_flags"]
     rows = []
-    for k in config["k_values"]:
+    for k in args.k_range:
         row = {"K": k}
-        for tag in config["methods"]:
+        for tag in args.methods:
             if tag == "bracket":
-                bracket = size_bracket(k, config["delta_target"],
-                                       config["threshold"],
-                                       config["adversary_frac"])
+                bracket = size_bracket(k, args.delta, args.threshold,
+                                       args.adversary_frac)
                 row["bracket-lower"] = bracket.lower
                 row["bracket-upper"] = bracket.upper
                 continue
             try:
-                row[tag] = _sweep_n_cell(tag, k, config)
+                row[tag] = _sweep_n_cell(tag, k, args, parser)
                 row[f"{tag}_flags"] = ""
             except (ValueError, ArithmeticError) as exc:
                 row[f"{tag}_flags"] = f"error:{exc}"
@@ -507,10 +478,11 @@ def _run_sweep_n(config):
 
 
 def _cmd_sweep(args, parser):
-    config = _sweep_config(args, parser)
-    if config["mode"] == "sweep-k":
-        return _run_sweep_k(config)
-    return _run_sweep_n(config)
+    if args.config is not None:
+        args = _config_args(args.config, parser)
+    _check_sweep(args, parser)
+    run = _run_sweep_k if args.mode == "sweep-k" else _run_sweep_n
+    return run(args, parser)
 
 
 # ---------------------------------------------------------------------------

@@ -204,8 +204,8 @@ def min_committee_size(
         raise ValueError(f"model must be 'average' or 'exact', got {model!r}")
     p = rate_as_float(adversary_rate, "adversary_rate")
     a = rate_as_float(threshold, "threshold")
-    if model == "exact" and p >= a:
-        raise ValueError("the exact model needs adversary_rate below threshold")
+    if p >= a:
+        raise ValueError("sizing needs adversary_rate below threshold")
 
     if model == "average":
         def feasible(n: int) -> bool:

@@ -234,6 +234,25 @@ class TestSizeCommand:
         )
         assert code == 2
 
+    def test_exact_model_without_min_n_is_usage_error(self, capsys):
+        # max_committees has the average model only
+        code, out, err = run_cli(
+            capsys, "size", "--nodes", "1000", "--delta", "1e-3",
+            "--threshold", "1/3", "--adversary-frac", "0.25", "--model", "exact",
+        )
+        assert code == 2 and out == ""
+        assert "--min-n-for-K" in err
+
+    @pytest.mark.parametrize("model", ["average", "exact"])
+    def test_min_n_at_rate_above_threshold_exits_one(self, capsys, model):
+        # no size is feasible: the average model once scanned toward 1e6
+        code, out, err = run_cli(
+            capsys, "size", "--min-n-for-K", "7", "--delta", "1e-3",
+            "--threshold", "1/3", "--adversary-frac", "1/2", "--model", model,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "below threshold" in err
+
 
 class TestSimulateCommand:
     def test_estimate_close_to_exact(self, capsys):
@@ -313,33 +332,73 @@ class TestSweepCommand:
         assert row["union-fixed"] == "1.0"
         assert "clamped" in row["union-fixed_flags"]
 
-    def test_empty_range_is_usage_error(self, capsys):
+    @pytest.mark.parametrize("k_range", ["5:4", "0:2"])
+    def test_empty_range_is_usage_error(self, capsys, k_range):
         code, _, _ = run_cli(
             capsys, "sweep", "--mode", "sweep-k", "--nodes", "100",
-            "--k-range", "5:4", "--threshold", "1/3", "--adversary-frac", "1/4",
+            "--k-range", k_range, "--threshold", "1/3", "--adversary-frac", "1/4",
             "--methods", "exact-binomial",
         )
         assert code == 2
 
-    def test_config_file_equivalent_to_flags(self, capsys, tmp_path):
-        config = {
-            "schema": 1,
-            "mode": "sweep-k",
-            "nodes": 100,
-            "k_range": [2, 10],
-            "threshold": "1/3",
-            "adversary_frac": "1/4",
-            "methods": ["exact-binomial", "exact-hypergeometric", "union-fixed",
-                        "monte-carlo"],
-            "samples": 2000,
-            "seed": 11,
-        }
+    SWEEP_N = [
+        "sweep", "--mode", "sweep-n", "--k-range", "2:8:3", "--delta", "0.01",
+        "--threshold", "1/3", "--adversary-frac", "1/4",
+        "--methods", "exact-binomial,union-fixed,bracket",
+    ]
+
+    @pytest.mark.parametrize("config, argv", [
+        ({"schema": 1, "mode": "sweep-k", "nodes": 100, "k_range": [2, 10],
+          "threshold": "1/3", "adversary_frac": "1/4",
+          "methods": ["exact-binomial", "exact-hypergeometric", "union-fixed",
+                      "monte-carlo"],
+          "samples": 2000, "seed": 11}, BASE),
+        # a numeric string reads as the flag's text would
+        ({"schema": 1, "mode": "sweep-k", "nodes": "100", "k_range": [2, 10],
+          "threshold": "1/3", "adversary_frac": 0.25,
+          "methods": "exact-binomial,exact-hypergeometric,union-fixed,monte-carlo",
+          "samples": 2000, "seed": "11"}, BASE),
+        ({"schema": 1, "mode": "sweep-n", "k_range": [2, 8, 3], "delta_target": 0.01,
+          "threshold": "1/3", "adversary_frac": "1/4",
+          "methods": ["exact-binomial", "union-fixed", "bracket"]}, SWEEP_N),
+    ], ids=["sweep-k", "numeric-strings", "sweep-n"])
+    def test_config_file_equivalent_to_flags(self, capsys, tmp_path, config, argv):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(config))
-        _, out_flags, _ = run_cli(capsys, *self.BASE)
+        _, out_flags, _ = run_cli(capsys, *argv)
         code, out_config, _ = run_cli(capsys, "sweep", "--config", str(path))
         assert code == 0
         assert out_config == out_flags
+
+    @pytest.mark.parametrize("config", [
+        [1, 2],
+        {"k_range": ["a", 3]},
+        {"k_range": [2, 10, 0]},
+        {"k_range": [0, 3]},
+        {"k_range": [2]},
+        {"nodes": "many"},
+        {"mode": "sweep-x"},
+    ], ids=["list", "k-range-text", "k-range-zero-step", "k-range-from-zero",
+            "k-range-one-end", "nodes-text", "mode"])
+    def test_malformed_config_is_usage_error(self, capsys, tmp_path, config):
+        if isinstance(config, dict):
+            config = {"schema": 1, "mode": "sweep-k", "nodes": 100,
+                      "k_range": [2, 3], "threshold": "1/3",
+                      "adversary_frac": "1/4", "methods": ["exact-binomial"],
+                      **config}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("usage:") and "internal error" not in err
+
+    @pytest.mark.parametrize("frac", ["1/3", "1/2"])
+    def test_sweep_n_rejects_rate_at_or_above_threshold(self, capsys, frac):
+        # no committee size is feasible, and each scan would run to MAX_SIZE
+        argv = [frac if arg == "1/4" else arg for arg in self.SWEEP_N]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "below --threshold" in err
 
     def test_bad_schema_version_rejected(self, capsys, tmp_path):
         path = tmp_path / "sweep.json"

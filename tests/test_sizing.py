@@ -147,8 +147,14 @@ class TestMinCommitteeSize:
     def test_model_validation(self):
         with pytest.raises(ValueError):
             min_committee_size(2, 1e-3, THIRD, 0.25, "bogus")
-        with pytest.raises(ValueError):
-            min_committee_size(2, 1e-3, THIRD, 0.5, "exact")
+
+    # no size is feasible at P > A, so the scan would run to MAX_SIZE; at
+    # P = A = 1/3, K = 2 and delta = 0.9 the average model returned 1
+    @pytest.mark.parametrize("model", ["exact", "average"])
+    @pytest.mark.parametrize("rate, target", [(0.5, 1e-3), (THIRD, 0.9)])
+    def test_rate_at_or_above_threshold_rejected(self, model, rate, target):
+        with pytest.raises(ValueError, match="below threshold"):
+            min_committee_size(2, target, THIRD, rate, model)
 
 
 class TestSizeBracket:
