@@ -351,7 +351,10 @@ _CONFIG_KEYS = ("mode", "nodes", "k_range", "delta_target", "threshold",
 def _config_args(path: str, parser) -> argparse.Namespace:
     """The sweep flags a JSON config file stands for, parsed as if given on
     the command line; a list value becomes 'lo:hi[:step]' or a comma list."""
-    raw = json.loads(Path(path).read_text())
+    try:
+        raw = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        parser.error(f"a sweep config must be valid JSON: {exc}")
     if not isinstance(raw, dict) or raw.get("schema") != CONFIG_SCHEMA_VERSION:
         parser.error("a sweep config must be a JSON object with "
                      f'"schema": {CONFIG_SCHEMA_VERSION}')
@@ -455,21 +458,21 @@ def _run_sweep_n(args, parser):
     columns = ["K"]
     for tag in args.methods:
         if tag == "bracket":
-            columns += ["bracket-lower", "bracket-upper"]
+            columns += ["bracket-lower", "bracket-upper", "bracket_flags"]
         else:
             columns += [tag, f"{tag}_flags"]
     rows = []
     for k in args.k_range:
         row = {"K": k}
         for tag in args.methods:
-            if tag == "bracket":
-                bracket = size_bracket(k, args.delta, args.threshold,
-                                       args.adversary_frac)
-                row["bracket-lower"] = bracket.lower
-                row["bracket-upper"] = bracket.upper
-                continue
             try:
-                row[tag] = _sweep_n_cell(tag, k, args, parser)
+                if tag == "bracket":
+                    bracket = size_bracket(k, args.delta, args.threshold,
+                                           args.adversary_frac)
+                    row["bracket-lower"] = bracket.lower
+                    row["bracket-upper"] = bracket.upper
+                else:
+                    row[tag] = _sweep_n_cell(tag, k, args, parser)
                 row[f"{tag}_flags"] = ""
             except (ValueError, ArithmeticError) as exc:
                 row[f"{tag}_flags"] = f"error:{exc}"

@@ -6,18 +6,23 @@ sample count, never on the worker pool, so a run with 8 workers produces
 bit-identical failure counts to a run with 1.  Failure counting is an
 order-independent integer sum over chunks.
 
-Only whether a committee exceeds its cap is counted, never its count.  In
-the average model each committee draws one uniform u and fails when
-u > P(Bin(n, p) <= cap): the inversion method stopped at the cap, whose
-CDF is computed once per run of equal (size, rate) committees.  numpy's
-binomial sampler inverts the same uniform when p <= 1/2 and n p <= 30, so
-there the failure counts equal those of drawing full binomial counts,
-except for a uniform within rounding of the CDF (about 1e-16 per draw).
-The realisations differ, with the same law, where numpy takes another
-path: n p > 30 (BTPE), p > 1/2 (inversion of n - X) and p = 0 (no draw).
-A chunk draws those uniforms in blocks of at most ``BLOCK_BYTES`` from its
-one generator, so it holds O(BLOCK_BYTES) of them at any committee count,
-and the blocks concatenate to the draws of a single call.
+Only whether a committee exceeds its cap is counted, never its count.  The
+average model's committees are independent, so a group of m committees of
+equal (size, rate) survives when the largest of their m uniforms is at most
+c = P(Bin(n, p) <= cap), which happens with probability c^m.  Each sample
+therefore draws one uniform per group and fails when some group's uniform
+exceeds that group's c^m, the exponential of its term in the exact
+log survival; the cost per sample is the group count, not the committee
+count.  Where every group holds one committee this is the inversion method
+stopped at the cap, and numpy's binomial sampler inverts the same uniform
+when p <= 1/2 and n p <= 30, so there the failure counts equal those of
+drawing full binomial counts, except for a uniform within rounding of the
+CDF (about 1e-16 per draw).  Elsewhere the realisations differ with the
+same law: groups of more than one committee, n p > 30 (BTPE), p > 1/2
+(inversion of n - X) and p = 0 (no draw).  A chunk draws its uniforms in
+blocks of at most ``BLOCK_BYTES`` from its one generator, so it holds
+O(BLOCK_BYTES) of them at any group count, and the blocks concatenate to
+the draws of a single call.
 
 The exactly-M model walks the committees in layout order over all samples
 of a chunk at once.  Each sample keeps only its number of adversaries still
@@ -37,9 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .failure import FailureQuery, _average_groups
+from .failure import FailureQuery, _average_groups, _binomial_split_cached
 from .partitions import AverageAdversary, ExactAdversary
-from .probcore import binomial_tail_and_cdf, floor_rate_multiple
+from .probcore import floor_rate_multiple
 
 __all__ = [
     "DeltaEstimate",
@@ -89,22 +94,18 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _cap_cdfs(query: FailureQuery) -> np.ndarray:
-    """P(count <= cap) per committee under the average model.
+def _group_survival(query: FailureQuery) -> np.ndarray:
+    """Survival probability per group of equal committees, average model.
 
-    Evaluated once per group of equal (size, rate) committees and repeated
-    over its committees; +inf where the cap reaches the committee size, so
-    that committee draws its uniform but never fails.
+    A group of m committees of equal (size, rate) survives with probability
+    c^m, c = P(Bin(size, rate) <= cap): the exponential of the group's own
+    term in ``delta_exact_binomial``'s log survival.  +inf where the cap
+    reaches the committee size, so that group draws its uniform but never
+    fails.
     """
-    cdf = {(size, rate): math.inf if cap >= size else
-           math.exp(binomial_tail_and_cdf(size, rate, cap)[0])
-           for size, rate, cap, _ in _average_groups(query)}
-    layout, rate = query.layout, query.adversary.rate
-    if isinstance(rate, tuple):
-        rates = query.adversary.rates_for(layout.committee_count)
-        return np.array([cdf[pair] for pair in zip(layout.sizes, rates)])
-    return np.repeat([cdf[size, float(rate)] for size, _ in layout.runs],
-                     [mult for _, mult in layout.runs])
+    return np.array([math.inf if cap >= size else
+                     math.exp(mult * _binomial_split_cached(size, rate, cap)[0])
+                     for size, rate, cap, mult in _average_groups(query)])
 
 
 def _exact_failures(rng: np.random.Generator, query: FailureQuery, count: int,
@@ -137,10 +138,11 @@ def _failure_count_chunk(plan: SimulationPlan, chunk_index: int, count: int,
                          limits: np.ndarray) -> int:
     """Failed samples among ``count`` drawn from the chunk's own stream.
 
-    The average model compares uniforms with the cap CDFs, ``BLOCK_BYTES``
-    of them at a time; consecutive blocks from one generator are the draws
-    a single call would make.  The exactly-M model compares sequential
-    hypergeometric counts with the caps over the whole chunk at once.
+    The average model compares one uniform per group with the group's
+    survival probability, ``BLOCK_BYTES`` of uniforms at a time;
+    consecutive blocks from one generator are the draws a single call would
+    make.  The exactly-M model compares sequential hypergeometric counts
+    with the caps over the whole chunk at once.
     """
     rng = _chunk_rng(plan.seed, chunk_index)
     if isinstance(plan.query.adversary, ExactAdversary):
@@ -171,7 +173,7 @@ def estimate_delta(plan: SimulationPlan) -> DeltaEstimate:
     """
     query = plan.query
     if isinstance(query.adversary, AverageAdversary):
-        limits = _cap_cdfs(query)
+        limits = _group_survival(query)
     elif isinstance(query.adversary, ExactAdversary):
         sizes, mults = zip(*query.layout.runs)
         limits = np.repeat(

@@ -392,6 +392,13 @@ class TestSweepCommand:
         assert code == 2 and out == ""
         assert err.startswith("usage:") and "internal error" not in err
 
+    def test_config_not_json_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "sweep.json"
+        path.write_text('{"schema": 1, "mode": "sweep-k",')  # truncated
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("usage:") and "valid JSON" in err
+
     @pytest.mark.parametrize("frac", ["1/3", "1/2"])
     def test_sweep_n_rejects_rate_at_or_above_threshold(self, capsys, frac):
         # no committee size is feasible, and each scan would run to MAX_SIZE
@@ -420,6 +427,21 @@ class TestSweepCommand:
             n_ash = int(row["theorem1-upper-ash"])
             assert n_exact <= n_ash  # bound-derived sizes are conservative
             assert float(row["bracket-lower"]) <= n_exact <= float(row["bracket-upper"])
+
+    def test_sweep_n_bracket_error_stays_in_its_cell(self, capsys):
+        # the bracket needs P > 0; the exact-binomial column still has answers
+        code, out, err = run_cli(
+            capsys, "sweep", "--mode", "sweep-n", "--k-range", "2:3",
+            "--delta", "0.1", "--threshold", "1/3", "--adversary-frac", "0",
+            "--methods", "exact-binomial,bracket",
+        )
+        assert code == 0 and err == ""
+        rows = parse_csv(out)
+        assert [row["K"] for row in rows] == ["2", "3"]
+        for row in rows:
+            assert row["exact-binomial"] == "1" and row["exact-binomial_flags"] == ""
+            assert row["bracket-lower"] == row["bracket-upper"] == ""
+            assert row["bracket_flags"].startswith("error:need 0 < adversary_rate")
 
     @pytest.mark.parametrize("delta", ["0", "1", "1.5"])
     def test_sweep_n_rejects_target_outside_unit_interval(self, capsys, delta):
@@ -472,7 +494,9 @@ class TestMonteCarloSweepDeterminism:
 
 # stdout of delta (every analytic tag, CSV and JSON), bounds (rate and count),
 # asymptotic, sweep-k (every analytic tag) and sweep-n, recorded before the
-# method tags shared one registry; the registry must reproduce it byte for byte
+# method tags shared one registry; the registry must reproduce it byte for
+# byte.  The sweep-n entry was re-recorded when the bracket gained its own
+# bracket_flags column (empty here); no other byte of it changed.
 _GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 
 

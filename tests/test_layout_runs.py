@@ -2,8 +2,9 @@
 
 The analytic evaluators and sizing solvers read a layout's (size,
 multiplicity) runs and never expand the committee sequence; they agree with
-per-committee (K-tuple) evaluation and the exhaustive oracles; and the
-Monte Carlo draws, which do expand it, keep the committee order.
+per-committee (K-tuple) evaluation and the exhaustive oracles; the
+average-model Monte Carlo draws per group too, and the exactly-M walk, which
+does expand it, keeps the committee order.
 """
 
 import math
@@ -188,15 +189,17 @@ def test_simulate_output_unchanged(capsys, model, workers):
     assert capsys.readouterr().out == _SIMULATE_GOLDEN[model]
 
 
-# CSV printed by `simulate` on 1000 committees of 10: the average model,
-# recorded before each chunk compared uniforms with cap CDFs in blocks, spans
-# two chunks of many blocks; the exactly-M model, recorded with sequential
-# conditional draws (exact delta 0.13543, 1.8 SE away), one chunk.
+# CSV printed by `simulate` on 1000 committees of 10.  The average model,
+# re-recorded when each group of equal committees came to draw one uniform
+# against its survival probability c^m (exact delta 0.13663, 1.4 SE away),
+# spans two chunks of one uniform per sample; the exactly-M model, recorded
+# with sequential conditional draws (exact delta 0.13543, 1.8 SE away), one
+# chunk of a walk over 1000 committees.
 _THOUSAND_GOLDEN = {
     ("--adversary-frac", "1/10", "--samples", "40960"): (
         "delta_hat,std_error,ci_low,ci_high,failures,samples\n"
-        "0.138134765625,0.0017048697495864137,0.1347932209158106,0.14147631033418936,"
-        "5658,40960\n"),
+        "0.1342041015625,0.001684266003302455,0.1309029401960272,0.13750526292897283,"
+        "5497,40960\n"),
     ("--adversary-count", "1000", "--samples", "2048"): (
         "delta_hat,std_error,ci_low,ci_high,failures,samples\n"
         "0.12255859375,0.007246294340148864,0.10835585684330823,0.13676133065669177,"
@@ -206,7 +209,7 @@ _THOUSAND_GOLDEN = {
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("model", sorted(_THOUSAND_GOLDEN))
-def test_simulate_blocks_reproduce_single_draw(capsys, model, workers):
+def test_simulate_thousand_equal_committees_unchanged(capsys, model, workers):
     code = main(["simulate", "--layout", ",".join(["10"] * 1000), "--threshold", "1/2",
                  *model, "--seed", "20261018", "--workers", workers])
     assert code == 0

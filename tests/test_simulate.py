@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -5,8 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from shardrisk import simulate
+from shardrisk.cli import main
 from shardrisk.failure import (
     FailureQuery,
+    _average_groups,
     delta_exact_binomial,
     delta_exact_hypergeometric,
 )
@@ -23,6 +27,7 @@ from shardrisk.simulate import (
     SimulationPlan,
     _chunk_rng,
     _exact_failures,
+    _group_survival,
     estimate_delta,
 )
 
@@ -230,7 +235,9 @@ class TestEmpiricalDominance:
 
 
 # (sizes, rate, threshold) with p <= 1/2 and n p <= 30 for every committee,
-# where numpy's binomial sampler inverts one uniform per committee
+# where numpy's binomial sampler inverts one uniform per committee.  Only in
+# the first does every group hold one committee; in the fifth, Counter
+# merges the non-adjacent (5, 0.5) committees into one group.
 _INVERSION_CASES = (
     ((12, 10, 12, 11), 0.25, THIRD),
     ((5, 3, 5, 5), 0.5, THIRD),
@@ -241,13 +248,32 @@ _INVERSION_CASES = (
     ((10,) * 1000, 0.1, Fraction(1, 2)),
 )
 
+# inversion-regime layouts whose groups each hold one committee; the
+# alternating one has 1000 groups, so a chunk draws it in several blocks
+_SINGLETON_GROUP_CASES = (
+    _INVERSION_CASES[0],
+    ((7, 9, 30, 3, 4, 40), 0.3, THIRD),
+    ((5, 3, 5, 5), (0.5, 0.25, 0.1, 0.3), THIRD),
+    ((10, 11) * 500, 0.1, Fraction(1, 2)),
+)
 
-@pytest.mark.parametrize("seed", range(21))
-def test_failures_equal_binomial_counts_in_inversion_regime(seed):
-    sizes, rate, threshold = _INVERSION_CASES[seed % len(_INVERSION_CASES)]
-    layout = CommitteeLayout(sizes)
-    query = FailureQuery(layout, AverageAdversary(rate), threshold)
-    k = layout.committee_count
+_GROUPED_CASES = _INVERSION_CASES[1:]
+
+
+def _query(sizes, rate, threshold):
+    return FailureQuery(CommitteeLayout(sizes), AverageAdversary(rate), threshold)
+
+
+def _multiplicities(query):
+    return [mult for *_, mult in _average_groups(query)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_singleton_groups_equal_binomial_counts(seed):
+    sizes, rate, threshold = _SINGLETON_GROUP_CASES[seed % len(_SINGLETON_GROUP_CASES)]
+    query = _query(sizes, rate, threshold)
+    assert _multiplicities(query) == [1] * len(sizes)
+    k = len(sizes)
     # two chunks, the second partial; at K = 1000 one chunk of several blocks
     samples = 2000 if k > 100 else CHUNK_SAMPLES + 3000
     rates = np.asarray(AverageAdversary(rate).rates_for(k))
@@ -255,12 +281,98 @@ def test_failures_equal_binomial_counts_in_inversion_regime(seed):
     expected = 0
     for index, start in enumerate(range(0, samples, CHUNK_SAMPLES)):
         count = min(CHUNK_SAMPLES, samples - start)
-        counts = _chunk_rng(seed, index).binomial(np.asarray(layout.sizes), rates,
+        counts = _chunk_rng(seed, index).binomial(np.asarray(sizes), rates,
                                                   size=(count, k))
         expected += int((counts > caps).any(axis=1).sum())
     assert 0 < expected < samples
     plan = SimulationPlan(query, samples=samples, seed=seed)
     assert estimate_delta(plan).failures == expected
+
+
+@pytest.mark.parametrize("case", range(len(_INVERSION_CASES)))
+def test_cap_cdf_flags_the_counts_numpy_inverts_above_the_cap(case):
+    # per committee, the uniform numpy's binomial sampler inverts exceeds the
+    # cap CDF exactly when the count it yields exceeds the cap
+    sizes, rate, threshold = _INVERSION_CASES[case]
+    k = len(sizes)
+    rates = AverageAdversary(rate).rates_for(k)
+    cdfs = np.array([_group_survival(_query((s,), r, threshold))[0]
+                     for s, r in zip(sizes, rates)])
+    caps = np.array([floor_rate_multiple(threshold, s) for s in sizes])
+    count = 20_000 if k <= 100 else 2000
+    uniforms = _chunk_rng(case, 0).random((count, k))
+    counts = _chunk_rng(case, 0).binomial(np.asarray(sizes), rates, size=(count, k))
+    assert ((uniforms > cdfs) == (counts > caps)).all()
+    assert (counts > caps).any()
+
+
+def _group_survival_oracle(sizes, rate, threshold):
+    """c^m per group, exactly: adjacent runs for one rate, equal (size, rate)
+    pairs wherever they stand for per-committee rates."""
+    if isinstance(rate, tuple):
+        groups = {}
+        for pair in zip(sizes, rate):
+            groups[pair] = groups.get(pair, 0) + 1
+        groups = [(size, r, mult) for (size, r), mult in groups.items()]
+    else:
+        groups = [(size, rate, len(list(run))) for size, run in itertools.groupby(sizes)]
+    survival = []
+    for size, r, mult in groups:
+        cap = math.floor(threshold * size)
+        if cap >= size:
+            survival.append(math.inf)
+            continue
+        p = Fraction(float(r))
+        c = sum(math.comb(size, j) * p ** j * (1 - p) ** (size - j)
+                for j in range(cap + 1))
+        survival.append(float(c ** mult))
+    return survival
+
+
+@pytest.mark.parametrize("sizes, rate, threshold", [
+    *_INVERSION_CASES,
+    ((10, 11) * 500, 0.1, Fraction(1, 2)),
+    ((2, 7, 3, 3), 0.25, Fraction(1)),           # caps reach every size
+    ((4, 4, 6), (1.0, 1.0, 0.0), Fraction(1, 2)),  # p = 1 always fails, p = 0 never
+])
+def test_group_thresholds_match_exact_survival(sizes, rate, threshold):
+    query = _query(sizes, rate, threshold)
+    got = _group_survival(query)
+    want = _group_survival_oracle(sizes, rate, threshold)
+    assert got.shape == (len(want),)
+    assert got.tolist() == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("case", range(len(_GROUPED_CASES)))
+def test_grouped_failure_frequency_matches_exact_value(case):
+    query = _query(*_GROUPED_CASES[case])
+    assert max(_multiplicities(query)) > 1
+    exact = delta_exact_binomial(query).delta
+    estimate = estimate_delta(SimulationPlan(query, samples=100_000, seed=51 + case))
+    se = math.sqrt(exact * (1 - exact) / estimate.samples)
+    assert 0.0 < exact < 1.0
+    assert abs(estimate.delta_hat - exact) <= 5 * se
+
+
+def test_one_uniform_per_sample_on_equal_committees(monkeypatch):
+    """1000 committees of 10 form one group: one uniform per sample, not 1000."""
+    drawn = []
+
+    class CountingRng:
+        def __init__(self, rng):
+            self._rng = rng
+
+        def random(self, size):
+            drawn.append(math.prod(size))
+            return self._rng.random(size)
+
+    chunk_rng = simulate._chunk_rng
+    monkeypatch.setattr(simulate, "_chunk_rng",
+                        lambda seed, index: CountingRng(chunk_rng(seed, index)))
+    code = main(["simulate", "--layout", ",".join(["10"] * 1000), "--threshold", "1/2",
+                 "--adversary-frac", "1/10", "--samples", "40960", "--seed", "7"])
+    assert code == 0
+    assert sum(drawn) == 40960
 
 
 @pytest.mark.parametrize("size, rate", [(200, 0.3), (20, 0.75)])
@@ -282,14 +394,24 @@ def test_outside_inversion_regime_matches_exact_value(size, rate):
 ])
 def test_chunk_memory_bounded_at_a_thousand_committees(adversary, samples, workers):
     query = FailureQuery(layout_from_split(10_000, 1000), adversary, Fraction(1, 2))
-    plan = SimulationPlan(query, samples=samples, seed=41, workers=workers)
+    _assert_memory_bounded(SimulationPlan(query, samples=samples, seed=41, workers=workers))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_chunk_memory_bounded_at_a_thousand_groups(workers):
+    # sizes 10 and 11 alternate: a thousand groups, drawn in 4 MiB blocks
+    query = _query((10, 11) * 500, Fraction(1, 10), Fraction(1, 2))
+    _assert_memory_bounded(SimulationPlan(query, samples=65536, seed=41, workers=workers))
+
+
+def _assert_memory_bounded(plan):
     tracemalloc.start()
     try:
         estimate = estimate_delta(plan)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 0 < estimate.failures < samples
+    assert 0 < estimate.failures < plan.samples
     assert peak < 16 << 20
 
 
