@@ -352,8 +352,8 @@ def _config_args(path: str, parser) -> argparse.Namespace:
     """The sweep flags a JSON config file stands for, parsed as if given on
     the command line; a list value becomes 'lo:hi[:step]' or a comma list."""
     try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError
         parser.error(f"a sweep config must be valid JSON: {exc}")
     if not isinstance(raw, dict) or raw.get("schema") != CONFIG_SCHEMA_VERSION:
         parser.error("a sweep config must be a JSON object with "

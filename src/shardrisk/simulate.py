@@ -56,7 +56,7 @@ __all__ = [
 CHUNK_SAMPLES = 32768
 
 #: Bytes of average-model uniforms a chunk holds at once, whatever the
-#: committee count.
+#: group count.
 BLOCK_BYTES = 4 << 20
 
 

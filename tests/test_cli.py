@@ -392,9 +392,13 @@ class TestSweepCommand:
         assert code == 2 and out == ""
         assert err.startswith("usage:") and "internal error" not in err
 
-    def test_config_not_json_is_usage_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize("content", [
+        b'{"schema": 1, "mode": "sweep-k",',  # truncated
+        b'{"schema": 1, "mode": "sweep-\xff"}',  # not UTF-8
+    ])
+    def test_config_not_json_is_usage_error(self, capsys, tmp_path, content):
         path = tmp_path / "sweep.json"
-        path.write_text('{"schema": 1, "mode": "sweep-k",')  # truncated
+        path.write_bytes(content)
         code, out, err = run_cli(capsys, "sweep", "--config", str(path))
         assert code == 2 and out == ""
         assert err.startswith("usage:") and "valid JSON" in err

@@ -388,30 +388,23 @@ def test_outside_inversion_regime_matches_exact_value(size, rate):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("adversary, samples", [
-    (AverageAdversary(Fraction(1, 10)), 65536),
-    (ExactAdversary(1000), 4096),
-])
-def test_chunk_memory_bounded_at_a_thousand_committees(adversary, samples, workers):
-    query = FailureQuery(layout_from_split(10_000, 1000), adversary, Fraction(1, 2))
-    _assert_memory_bounded(SimulationPlan(query, samples=samples, seed=41, workers=workers))
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_chunk_memory_bounded_at_a_thousand_groups(workers):
+@pytest.mark.parametrize("query, samples", [
+    (FailureQuery(layout_from_split(10_000, 1000), AverageAdversary(Fraction(1, 10)),
+                  Fraction(1, 2)), 65536),
+    (FailureQuery(layout_from_split(10_000, 1000), ExactAdversary(1000),
+                  Fraction(1, 2)), 4096),
     # sizes 10 and 11 alternate: a thousand groups, drawn in 4 MiB blocks
-    query = _query((10, 11) * 500, Fraction(1, 10), Fraction(1, 2))
-    _assert_memory_bounded(SimulationPlan(query, samples=65536, seed=41, workers=workers))
-
-
-def _assert_memory_bounded(plan):
+    (_query((10, 11) * 500, Fraction(1, 10), Fraction(1, 2)), 65536),
+])
+def test_chunk_memory_bounded_at_a_thousand_committees(query, samples, workers):
+    plan = SimulationPlan(query, samples=samples, seed=41, workers=workers)
     tracemalloc.start()
     try:
         estimate = estimate_delta(plan)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 0 < estimate.failures < plan.samples
+    assert 0 < estimate.failures < samples
     assert peak < 16 << 20
 
 
