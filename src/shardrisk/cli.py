@@ -181,19 +181,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_size.add_argument("--model", choices=("average", "exact"), default="average")
     _add_common_output(p_size)
 
-    p_sweep = sub.add_parser("sweep", help="grid sweeps over K")
+    # a sweep flag not given sets no attribute; _SWEEP_DEFAULTS has defaults
+    p_sweep = sub.add_parser("sweep", help="grid sweeps over K",
+                             argument_default=argparse.SUPPRESS)
     p_sweep.add_argument("--config", default=None, help="JSON sweep config")
-    p_sweep.add_argument("--mode", choices=("sweep-k", "sweep-n"), default=None)
-    p_sweep.add_argument("--nodes", type=int, default=None)
-    p_sweep.add_argument("--k-range", type=_parse_range, default=None, dest="k_range")
-    p_sweep.add_argument("--delta", type=float, default=None)
-    p_sweep.add_argument("--threshold", type=_parse_rate, default=None)
-    p_sweep.add_argument("--adversary-frac", type=_parse_rate, default=None)
-    p_sweep.add_argument("--methods", type=_parse_tags, default=None,
+    p_sweep.add_argument("--mode", choices=("sweep-k", "sweep-n"))
+    p_sweep.add_argument("--nodes", type=int)
+    p_sweep.add_argument("--k-range", type=_parse_range, dest="k_range")
+    p_sweep.add_argument("--delta", type=float)
+    p_sweep.add_argument("--threshold", type=_parse_rate)
+    p_sweep.add_argument("--adversary-frac", type=_parse_rate)
+    p_sweep.add_argument("--methods", type=_parse_tags,
                          help="comma list of method tags")
-    p_sweep.add_argument("--samples", type=int, default=1_000_000)
-    p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument("--samples", type=int)
+    p_sweep.add_argument("--seed", type=int)
+    p_sweep.add_argument("--workers", type=int)
     _add_common_output(p_sweep)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo estimate")
@@ -290,23 +292,18 @@ def _cmd_asymptotic(args, parser):
 
 def _cmd_size(args, parser):
     if args.min_n_for_k is not None:
-        n = min_committee_size(args.min_n_for_k, args.delta, args.threshold,
-                               args.adversary_frac, args.model)
-        bracket = None
+        k = args.min_n_for_k
+        exact_tag = "exact-binomial" if args.model == "average" else "exact-hypergeometric"
+        n, _ = _sweep_n_cell(exact_tag, k, args, parser)
+        lower = upper = None
         if args.model == "average":
             try:
-                bracket = size_bracket(args.min_n_for_k, args.delta,
-                                       args.threshold, args.adversary_frac)
+                lower, upper, _ = _sweep_n_cell("bracket", k, args, parser)
             except ValueError:
-                bracket = None
-        row = {
-            "K": args.min_n_for_k,
-            "n": n,
-            "model": args.model,
-            "bracket_lower": None if bracket is None else bracket.lower,
-            "bracket_upper": None if bracket is None else bracket.upper,
-        }
-        return [row], ["K", "n", "model", "bracket_lower", "bracket_upper"]
+                pass
+        row = {"K": k, "n": n, "model": args.model,
+               "bracket_lower": lower, "bracket_upper": upper}
+        return [row], list(row)
     if args.model != "average":
         # max_committees has the average model only
         parser.error("--model applies only with --min-n-for-K")
@@ -343,9 +340,11 @@ def _cmd_simulate(args, parser):
 # ---------------------------------------------------------------------------
 # sweeps
 
-# sweep config keys; each is read as the sweep flag of its name
-_CONFIG_KEYS = ("mode", "nodes", "k_range", "delta_target", "threshold",
-                "adversary_frac", "methods", "samples", "seed", "workers")
+# sweep flags and their defaults; a config file key is the flag's name,
+# "delta_target" for --delta
+_SWEEP_DEFAULTS = {"mode": None, "nodes": None, "k_range": None, "delta": None,
+                   "threshold": None, "adversary_frac": None, "methods": None,
+                   "samples": 1_000_000, "seed": 0, "workers": 1}
 
 
 def _config_args(path: str, parser) -> argparse.Namespace:
@@ -359,13 +358,12 @@ def _config_args(path: str, parser) -> argparse.Namespace:
         parser.error("a sweep config must be a JSON object with "
                      f'"schema": {CONFIG_SCHEMA_VERSION}')
     argv = ["sweep"]
-    for key in _CONFIG_KEYS:
-        flag = "--delta" if key == "delta_target" else "--" + key.replace("_", "-")
-        value = raw.get(key)
+    for dest in _SWEEP_DEFAULTS:
+        value = raw.get("delta_target" if dest == "delta" else dest)
         if isinstance(value, list):
-            value = (":" if key == "k_range" else ",").join(map(str, value))
+            value = (":" if dest == "k_range" else ",").join(map(str, value))
         if value is not None:
-            argv.append(f"{flag}={value}")
+            argv.append(f"--{dest.replace('_', '-')}={value}")
     return parser.parse_args(argv)
 
 
@@ -381,8 +379,9 @@ def _check_sweep(args, parser) -> None:
         if tag not in known:
             parser.error(f"unknown method {tag!r} for {args.mode}")
     if args.mode == "sweep-k":
-        if args.nodes is None:
-            parser.error("sweep-k needs --nodes")
+        if args.nodes is None or args.nodes < args.k_range[-1]:
+            parser.error("sweep-k needs --nodes, at least the largest K of "
+                         f"--k-range ({args.k_range[-1]})")
     elif args.delta is None or not 0.0 < args.delta < 1.0:
         parser.error("sweep-n needs --delta strictly inside (0, 1)")
     elif not args.adversary_frac < args.threshold:
@@ -390,51 +389,34 @@ def _check_sweep(args, parser) -> None:
         parser.error("sweep-n needs --adversary-frac below --threshold")
 
 
-def _flags_of(result) -> str:
-    flags = []
-    if result.clamped:
-        flags.append("clamped")
-    if not result.precondition_ok:
-        flags.append("precond")
-    return ";".join(flags)
+def _cell_columns(tag: str) -> list[str]:
+    """The columns of one method tag in a sweep row, its flags last."""
+    if tag == "bracket":
+        return ["bracket-lower", "bracket-upper", "bracket_flags"]
+    if METHODS[tag].evaluate is None:  # Monte Carlo, with its standard error
+        return [tag, f"{tag}_se", f"{tag}_flags"]
+    return [tag, f"{tag}_flags"]
 
 
-def _run_sweep_k(args, parser):
-    columns = ["K", "n", "r"]
-    for tag in args.methods:
-        columns.append(tag)
-        if tag.startswith("monte-carlo"):
-            columns.append(f"{tag}_se")
-        columns.append(f"{tag}_flags")
-    rows = []
-    for k in args.k_range:
-        layout = layout_from_split(args.nodes, k)
-        base, rem = divmod(args.nodes, k)
-        row = {"K": k, "n": base, "r": rem}
-        for tag in args.methods:
-            try:
-                result = _evaluate(
-                    tag, _query(METHODS[tag].model, layout, args, parser), args)
-            except (ValueError, ArithmeticError) as exc:
-                row[f"{tag}_flags"] = f"error:{exc}"  # empty value cells
-                continue
-            if isinstance(result, DeltaEstimate):
-                row[tag] = result.delta_hat
-                row[f"{tag}_se"] = result.std_error
-                row[f"{tag}_flags"] = ""
-            else:
-                row[tag] = result.delta
-                row[f"{tag}_flags"] = _flags_of(result)
-        rows.append(row)
-    return rows, columns
+def _sweep_k_cell(tag, layout: CommitteeLayout, args, parser) -> tuple:
+    """delta of one method tag on one layout, as _cell_columns lists it."""
+    result = _evaluate(tag, _query(METHODS[tag].model, layout, args, parser), args)
+    if isinstance(result, DeltaEstimate):
+        return result.delta_hat, result.std_error, ""
+    flags = (("clamped", result.clamped), ("precond", not result.precondition_ok))
+    return result.delta, ";".join(flag for flag, raised in flags if raised)
 
 
-def _sweep_n_cell(tag, k, args, parser):
-    """Smallest stable committee size for K committees by one method."""
+def _sweep_n_cell(tag, k: int, args, parser) -> tuple:
+    """Smallest stable size of K committees by one method tag, or the size
+    bracket, as _cell_columns lists it."""
+    if tag == "bracket":
+        bracket = size_bracket(k, args.delta, args.threshold, args.adversary_frac)
+        return bracket.lower, bracket.upper, ""
     model = METHODS[tag].model
     if tag in ("exact-binomial", "exact-hypergeometric"):
         return min_committee_size(k, args.delta, args.threshold,
-                                  args.adversary_frac, model)
+                                  args.adversary_frac, model), ""
 
     def delta_at(n: int) -> float:
         layout = CommitteeLayout.from_runs(((n, k),))
@@ -451,41 +433,37 @@ def _sweep_n_cell(tag, k, args, parser):
                 return 1.0
         return _evaluate(tag, query, args).delta
 
-    return scan_committee_size(lambda n: delta_at(n) <= args.delta)
-
-
-def _run_sweep_n(args, parser):
-    columns = ["K"]
-    for tag in args.methods:
-        if tag == "bracket":
-            columns += ["bracket-lower", "bracket-upper", "bracket_flags"]
-        else:
-            columns += [tag, f"{tag}_flags"]
-    rows = []
-    for k in args.k_range:
-        row = {"K": k}
-        for tag in args.methods:
-            try:
-                if tag == "bracket":
-                    bracket = size_bracket(k, args.delta, args.threshold,
-                                           args.adversary_frac)
-                    row["bracket-lower"] = bracket.lower
-                    row["bracket-upper"] = bracket.upper
-                else:
-                    row[tag] = _sweep_n_cell(tag, k, args, parser)
-                row[f"{tag}_flags"] = ""
-            except (ValueError, ArithmeticError) as exc:
-                row[f"{tag}_flags"] = f"error:{exc}"
-        rows.append(row)
-    return rows, columns
+    return scan_committee_size(lambda n: delta_at(n) <= args.delta), ""
 
 
 def _cmd_sweep(args, parser):
     if args.config is not None:
+        for dest in _SWEEP_DEFAULTS:
+            if dest in vars(args):
+                parser.error(f"--{dest.replace('_', '-')} cannot be given with "
+                             "--config; set it in the config file")
         args = _config_args(args.config, parser)
+    args = argparse.Namespace(**{**_SWEEP_DEFAULTS, **vars(args)})
     _check_sweep(args, parser)
-    run = _run_sweep_k if args.mode == "sweep-k" else _run_sweep_n
-    return run(args, parser)
+    sweep_k = args.mode == "sweep-k"
+    cell = _sweep_k_cell if sweep_k else _sweep_n_cell
+    cells = [(tag, _cell_columns(tag)) for tag in args.methods]
+    columns = (["K", "n", "r"] if sweep_k else ["K"]) + [
+        name for _, names in cells for name in names]
+    rows = []
+    for k in args.k_range:
+        # a sweep-k cell takes the split of --nodes into K committees
+        point, row = k, {"K": k}
+        if sweep_k:
+            point = layout_from_split(args.nodes, k)
+            row["n"], row["r"] = divmod(args.nodes, k)
+        for tag, names in cells:
+            try:
+                row.update(zip(names, cell(tag, point, args, parser)))
+            except (ValueError, ArithmeticError) as exc:
+                row[names[-1]] = f"error:{exc}"  # empty value cells
+        rows.append(row)
+    return rows, columns
 
 
 # ---------------------------------------------------------------------------

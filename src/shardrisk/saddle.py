@@ -112,13 +112,6 @@ def truncated_binomial_summary(
     return TruncatedBinomialSummary(log_mass=log_mass, mean=mean, second_moment=second)
 
 
-def _mean_fraction(runs, n_total, q, threshold) -> float:
-    acc = 0.0
-    for size, mult in runs:
-        acc += mult * truncated_binomial_summary(size, q, threshold).mean
-    return acc / n_total
-
-
 def solve_saddle(
     layout: CommitteeLayout, adversary_rate: RateLike, threshold: RateLike
 ) -> SaddleSolution:
@@ -157,30 +150,28 @@ def solve_saddle(
         )
 
     lo, hi = _BRACKET_LO, _BRACKET_HI
-    mid = 0.5 * (lo + hi)
-    residual = math.inf
     for _ in range(_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        g = _mean_fraction(runs, n_total, mid, threshold) - p
-        residual = g
-        if abs(g) <= _RESIDUAL_TOL:
+        q = 0.5 * (lo + hi)
+        # the last step's summaries give psi and the variance sum too
+        summaries = [(mult, truncated_binomial_summary(size, q, threshold))
+                     for size, mult in runs]
+        mean_acc = 0.0  # a plain loop: sum() compensates from Python 3.12
+        for mult, summary in summaries:
+            mean_acc += mult * summary.mean
+        residual = mean_acc / n_total - p
+        if abs(residual) <= _RESIDUAL_TOL:
             break
-        if g < 0.0:
-            lo = mid
+        if residual < 0.0:
+            lo = q
         else:
-            hi = mid
+            hi = q
         if hi - lo <= 1e-17:
             break
-    q = mid
     psi = kl_divergence(p, q)
     variance_sum = 0.0
-    mean_acc = 0.0
-    for size, mult in runs:
-        summary = truncated_binomial_summary(size, q, threshold)
+    for mult, summary in summaries:
         psi += mult * summary.log_mass / n_total
         variance_sum += mult * summary.variance
-        mean_acc += mult * summary.mean
-    residual = mean_acc / n_total - p
     return SaddleSolution(
         tilt=q,
         psi=psi,

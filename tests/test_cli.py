@@ -341,6 +341,25 @@ class TestSweepCommand:
         )
         assert code == 2
 
+    def test_k_past_nodes_is_usage_error(self, capsys):
+        # before any cell runs, so no K <= N answer is computed and lost
+        code, out, err = run_cli(
+            capsys, "sweep", "--mode", "sweep-k", "--nodes", "5", "--k-range", "2:8",
+            "--threshold", "1/3", "--adversary-frac", "1/4",
+            "--methods", "exact-binomial",
+        )
+        assert code == 2 and out == ""
+        assert "--nodes, at least the largest K of --k-range (8)" in err
+
+    def test_k_range_up_to_nodes_runs(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--mode", "sweep-k", "--nodes", "5", "--k-range", "2:5",
+            "--threshold", "1/3", "--adversary-frac", "1/4",
+            "--methods", "exact-binomial",
+        )
+        assert code == 0
+        assert [row["K"] for row in parse_csv(out)] == ["2", "3", "4", "5"]
+
     SWEEP_N = [
         "sweep", "--mode", "sweep-n", "--k-range", "2:8:3", "--delta", "0.01",
         "--threshold", "1/3", "--adversary-frac", "1/4",
@@ -369,6 +388,32 @@ class TestSweepCommand:
         code, out_config, _ = run_cli(capsys, "sweep", "--config", str(path))
         assert code == 0
         assert out_config == out_flags
+
+    # a flag given with its default value is caught too
+    @pytest.mark.parametrize("flag, value", [("--nodes", "5000"), ("--seed", "0"),
+                                             ("--k-range", "2:3")])
+    def test_sweep_flag_next_to_config_is_usage_error(self, capsys, tmp_path,
+                                                      flag, value):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({
+            "schema": 1, "mode": "sweep-k", "nodes": 100, "k_range": [2, 3],
+            "threshold": "1/3", "adversary_frac": "1/4",
+            "methods": ["exact-binomial"]}))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path), flag, value)
+        assert code == 2 and out == ""
+        assert f"{flag} cannot be given with --config" in err
+
+    def test_output_flags_next_to_config(self, capsys, tmp_path):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({
+            "schema": 1, "mode": "sweep-k", "nodes": 100, "k_range": [2, 3],
+            "threshold": "1/3", "adversary_frac": "1/4",
+            "methods": ["exact-binomial"]}))
+        out_path = tmp_path / "out.json"
+        code, out, _ = run_cli(capsys, "sweep", "--config", str(path),
+                               "--format", "json", "--output", str(out_path))
+        assert code == 0 and out == ""
+        assert [row["n"] for row in json.loads(out_path.read_text())] == [50, 33]
 
     @pytest.mark.parametrize("config", [
         [1, 2],
@@ -500,7 +545,10 @@ class TestMonteCarloSweepDeterminism:
 # asymptotic, sweep-k (every analytic tag) and sweep-n, recorded before the
 # method tags shared one registry; the registry must reproduce it byte for
 # byte.  The sweep-n entry was re-recorded when the bracket gained its own
-# bracket_flags column (empty here); no other byte of it changed.
+# bracket_flags column (empty here); no other byte of it changed.  Two
+# entries were recorded before sweep-k, sweep-n and size shared one sweep
+# loop: sweep-k-monte-carlo pins the Monte Carlo value and _se columns, and
+# sweep-n-from-k1 the asymptotic, bound and bracket cells from K = 1.
 _GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 
 
