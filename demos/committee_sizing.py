@@ -1,7 +1,8 @@
 """Sizing committees against a failure budget.
 
 First direction: fix the node total and find the largest committee count
-whose canonical n/(n+1) split stays inside the budget.  Second direction:
+whose canonical n/(n+1) split stays inside the budget, with nodes
+adversarial at the rate and with exactly N/4 adversaries.  Second direction:
 fix the committee count and solve for the smallest committee size, then
 compare the solved sizes with the closed-form bracket; both bracket
 endpoints grow only logarithmically in the committee count.
@@ -22,9 +23,11 @@ def main() -> None:
     print("largest safe committee count for a fixed network")
     for nodes in (500, 1000, 2000, 5000):
         result = max_committees(nodes, TARGET, THRESHOLD, RATE)
+        exact = max_committees(nodes, TARGET, THRESHOLD, RATE, "exact")
         print(f"  N={nodes:5d}: K={result.committees:3d} committees of "
               f"{result.base_size} (+1 for {result.remainder}), "
-              f"achieved delta = {result.prob:.3g}")
+              f"achieved delta = {result.prob:.3g}; exactly-M: "
+              f"K={exact.committees:3d}, delta = {exact.prob:.3g}")
 
     print("\nsmallest committee size for a fixed committee count")
     print(f"  {'K':>5}  {'bracket low':>11}  {'solved n':>8} {'(exact-M)':>9}  "

@@ -292,33 +292,23 @@ def _cmd_asymptotic(args, parser):
 
 def _cmd_size(args, parser):
     if args.min_n_for_k is not None:
+        if args.nodes is not None:
+            parser.error("--nodes cannot be given with --min-n-for-K")
         k = args.min_n_for_k
-        exact_tag = "exact-binomial" if args.model == "average" else "exact-hypergeometric"
-        n, _ = _sweep_n_cell(exact_tag, k, args, parser)
-        lower = upper = None
+        n = min_committee_size(k, args.delta, args.threshold, args.adversary_frac,
+                               args.model)
+        row = {"K": k, "n": n, "model": args.model}
+        bracket = ["bracket_lower", "bracket_upper", "bracket_flags"]
         if args.model == "average":
-            try:
-                lower, upper, _ = _sweep_n_cell("bracket", k, args, parser)
-            except ValueError:
-                pass
-        row = {"K": k, "n": n, "model": args.model,
-               "bracket_lower": lower, "bracket_upper": upper}
-        return [row], list(row)
-    if args.model != "average":
-        # max_committees has the average model only
-        parser.error("--model applies only with --min-n-for-K")
+            _fill_cell(row, bracket, lambda: _sweep_n_cell("bracket", k, args, parser))
+        return [row], ["K", "n", "model", *bracket]
     if args.nodes is None:
         parser.error("size needs --nodes (or --min-n-for-K)")
     result = max_committees(args.nodes, args.delta, args.threshold,
-                            args.adversary_frac)
-    row = {
-        "K": result.committees,
-        "n": result.base_size,
-        "r": result.remainder,
-        "prob": result.prob,
-        "iterations": result.iterations,
-    }
-    return [row], ["K", "n", "r", "prob", "iterations"]
+                            args.adversary_frac, args.model)
+    row = {"K": result.committees, "n": result.base_size, "r": result.remainder,
+           "prob": result.prob, "iterations": result.iterations}
+    return [row], list(row)
 
 
 def _cmd_simulate(args, parser):
@@ -398,6 +388,14 @@ def _cell_columns(tag: str) -> list[str]:
     return [tag, f"{tag}_flags"]
 
 
+def _fill_cell(row: dict, names: list[str], compute: Callable[[], tuple]) -> None:
+    """One cell's values in its columns, or its error in its flags column."""
+    try:
+        row.update(zip(names, compute()))
+    except (ValueError, ArithmeticError) as exc:
+        row[names[-1]] = f"error:{exc}"
+
+
 def _sweep_k_cell(tag, layout: CommitteeLayout, args, parser) -> tuple:
     """delta of one method tag on one layout, as _cell_columns lists it."""
     result = _evaluate(tag, _query(METHODS[tag].model, layout, args, parser), args)
@@ -458,10 +456,7 @@ def _cmd_sweep(args, parser):
             point = layout_from_split(args.nodes, k)
             row["n"], row["r"] = divmod(args.nodes, k)
         for tag, names in cells:
-            try:
-                row.update(zip(names, cell(tag, point, args, parser)))
-            except (ValueError, ArithmeticError) as exc:
-                row[names[-1]] = f"error:{exc}"  # empty value cells
+            _fill_cell(row, names, lambda: cell(tag, point, args, parser))
         rows.append(row)
     return rows, columns
 

@@ -1,13 +1,12 @@
 """Committee sizing: how many committees, and how large, for a target risk.
 
-Two directions are covered.  ``max_committees`` fixes the node total and
-grows the committee count until the failure probability first exceeds the
-target, returning the last safe configuration (the classic repeat-until
-loop, including its quirk of reporting probability 0 for the untouched
-single-committee fallback).  ``min_committee_size`` fixes the committee
-count and finds the smallest per-committee size meeting the target by
-one linear scan, ``scan_committee_size``, which the CLI's sweep-n also
-uses for every method.
+Two directions are covered, each under either adversary model, and both
+decide a layout by one feasibility predicate.  ``max_committees`` fixes the
+node total and returns the largest committee count whose n/(n+1) split
+meets the target.  ``min_committee_size`` fixes the committee count and
+finds the smallest per-committee size meeting the target by one linear
+scan, ``scan_committee_size``, which the CLI's sweep-n also uses for every
+method.
 
 ``size_bracket`` gives closed-form bounds on that smallest size; both
 endpoints grow only logarithmically in the committee count (and in the
@@ -23,16 +22,15 @@ from typing import Callable
 
 from .failure import (
     FailureQuery,
+    _marginal_log_tail,
     delta_exact_binomial,
     delta_exact_hypergeometric,
-    union_bound_hypergeometric,
 )
 from .partitions import (
     AverageAdversary,
     CommitteeLayout,
     ExactAdversary,
     exact_count_from_rate,
-    hypergeometric_marginal_log_pmf,
     layout_from_split,
 )
 from .probcore import (
@@ -40,7 +38,9 @@ from .probcore import (
     RateLike,
     floor_rate_multiple,
     kl_divergence,
+    log_sum_exp,
     rate_as_float,
+    stable_complement_product,
 )
 
 # largest committee size the sizing scan tries
@@ -85,9 +85,75 @@ def _validate_target(delta_target: RateLike) -> float:
     return d
 
 
-def _average_delta(layout: CommitteeLayout, threshold, rate) -> float:
-    query = FailureQuery(layout, AverageAdversary(rate), threshold)
-    return delta_exact_binomial(query).delta
+def _delta(layout: CommitteeLayout, model: str, threshold, rate) -> float:
+    """Exact failure probability under the model ("exact": M = round(N P))."""
+    if model == "average":
+        query = FailureQuery(layout, AverageAdversary(rate), threshold)
+        return delta_exact_binomial(query).delta
+    adversary = ExactAdversary(exact_count_from_rate(layout.total, rate))
+    return delta_exact_hypergeometric(FailureQuery(layout, adversary, threshold)).delta
+
+
+def _log_tail_head(cap: int, size: int, total: int, m: int, goal: float) -> float:
+    """Lower bound on log P(count > cap) under exactly-M: a head of the pmf sum."""
+    j, rest, lg = cap + 1, total - size, math.lgamma
+    if j > min(size, m) or m - j > rest:
+        return LOG_ZERO
+    # hypergeometric_marginal_log_pmf(j, ...) bit for bit, minus its costly checks
+    log_first = min((lg(size + 1) - lg(j + 1) - lg(size - j + 1))
+                    + (lg(rest + 1) - lg(m - j + 1) - lg(rest - m + j + 1))
+                    - (lg(total + 1) - lg(m + 1) - lg(total - m + 1)), 0.0)
+    if log_first > goal:
+        return log_first
+    need = math.exp(min(goal - log_first, 700.0))  # finite far below the goal
+    s = t = 1.0
+    for j in range(cap + 1, min(cap + 65, size, m)):
+        t *= (size - j) * (m - j) / ((j + 1) * (rest - m + j + 1))
+        s += t
+        if s > need or t < 2.0 ** -20 * s:  # past the goal, or little left to add
+            break
+    return log_first + math.log(s)
+
+
+def _feasibility(model: str, threshold, rate,
+                 delta_target: RateLike) -> Callable[[CommitteeLayout], bool]:
+    """Whether a layout's exact failure probability is at most the target.
+
+    Under "exact" (M = round(N P)) the FFT evaluator runs only where a
+    sandwich straddles the target.  Multivariate hypergeometric counts are
+    negatively associated (Joag-Dev & Proschan 1983), so with T_g the
+    marginal tail of one committee of run g, 1 - prod_g (1 - T_g)^m_g <=
+    delta <= sum_g m_g T_g.  First, a layout is infeasible if every T_g, bounded
+    below by a head of its pmf sum, exceeds the per-committee share of the
+    target; then both ends are tried with one log-gamma row per run.
+    """
+    target = _validate_target(delta_target)
+    if model == "average":
+        return lambda layout: _delta(layout, model, threshold, rate) <= target
+    if model != "exact":
+        raise ValueError(f"model must be 'average' or 'exact', got {model!r}")
+    log_target = math.log(target)
+
+    def feasible(layout: CommitteeLayout) -> bool:
+        total = layout.total
+        m = exact_count_from_rate(total, rate)
+        # covers the rounding of the log-gamma terms and of 64 ratio steps
+        margin = 16 * math.ulp(math.lgamma(total + 1)) + 2.0 ** -45
+        runs = [(size, mult, floor_rate_multiple(threshold, size))
+                for size, mult in layout.runs]
+        # a tail past this puts the lower end over the target if all K have it
+        goal = margin - _log_per_committee_budget(target, layout.committee_count)
+        if all(_log_tail_head(cap, size, total, m, goal) > goal for size, _, cap in runs):
+            return False
+        tails = [(_marginal_log_tail(size, total, m, cap), mult)
+                 for size, mult, cap in runs]
+        if log_sum_exp([math.log(mult) + tail for tail, mult in tails]) < log_target - margin:
+            return True
+        if stable_complement_product(tails) > log_target + margin:
+            return False
+        return _delta(layout, model, threshold, rate) <= target
+
+    return feasible
 
 
 def max_committees(
@@ -95,23 +161,20 @@ def max_committees(
     delta_target: RateLike,
     threshold: RateLike,
     adversary_rate: RateLike,
+    model: str = "average",
 ) -> SizingResult:
     """Largest committee count whose split keeps the risk at or below target.
 
-    Evaluates the exact product-binomial failure probability of the
-    n/(n+1) split for every K from 2 up to N and returns the largest
-    feasible K.  A first-crossing repeat-until loop would be cheaper but
-    wrong: the allowed count floor(A n) jumps at multiples of 1/A, so the
-    risk is not monotone in K and feasible counts can reappear past the
-    first overshoot (N=60, target 0.5, rate 1/4, A=1/3 is such a case).
-
-    The single-committee fallback reports probability 0 without ever being
-    evaluated, mirroring the classic loop's untouched initial state.
+    Decides every K from 2 up to N on the n/(n+1) split, under either model
+    (see ``min_committee_size``), and returns the largest feasible K with its
+    exact failure probability.  A first-crossing loop would be wrong: floor(A n)
+    jumps at multiples of 1/A, so the risk is not monotone in K (N=60, target
+    0.5, rate 1/4, A=1/3 is such a case).  The single-committee fallback reports
+    probability 0 without being evaluated, as the classic loop's did.
     """
     n_total = int(total_nodes)
     if n_total < 1:
         raise ValueError(f"total_nodes must be positive, got {total_nodes}")
-    target = _validate_target(delta_target)
     a = rate_as_float(threshold, "threshold")
     if not 0.0 < a < 1.0:
         raise ValueError(f"threshold must lie strictly inside (0, 1), got {a!r}")
@@ -119,22 +182,12 @@ def max_committees(
     if p >= 1.0:
         raise ValueError("adversary_rate must be below 1")
 
-    best = (1, n_total, 0, 0.0)
-    iterations = 0
-    for committees in range(2, n_total + 1):
-        base, rem = divmod(n_total, committees)
-        prob = _average_delta(layout_from_split(n_total, committees), threshold,
-                              adversary_rate)
-        iterations += 1
-        if prob <= target:
-            best = (committees, base, rem, prob)
-    return SizingResult(
-        committees=best[0],
-        base_size=best[1],
-        remainder=best[2],
-        prob=best[3],
-        iterations=iterations,
-    )
+    feasible = _feasibility(model, threshold, adversary_rate, delta_target)
+    best = max((k for k in range(2, n_total + 1)
+                if feasible(layout_from_split(n_total, k))), default=1)
+    prob = 0.0 if best == 1 else _delta(layout_from_split(n_total, best), model,
+                                        threshold, adversary_rate)
+    return SizingResult(best, *divmod(n_total, best), prob, iterations=n_total - 1)
 
 
 def scan_committee_size(
@@ -150,21 +203,6 @@ def scan_committee_size(
         if ok(n) and (not require_stable or n == MAX_SIZE or ok(n + 1)):
             return n
     raise ValueError(f"no committee size up to {MAX_SIZE} meets the target")
-
-
-def _log_tail_head(cap: int, size: int, total: int, m: int, goal: float) -> float:
-    """Lower bound on log P(count > cap) under exactly-M: a head of the pmf sum."""
-    log_first = hypergeometric_marginal_log_pmf(cap + 1, size, total, m)
-    if log_first == LOG_ZERO or log_first > goal:
-        return log_first
-    need, rest = math.exp(goal - log_first), total - size
-    s = t = 1.0
-    for j in range(cap + 1, min(cap + 65, size, m)):
-        t *= (size - j) * (m - j) / ((j + 1) * (rest - m + j + 1))
-        s += t
-        if s > need or t < 2.0 ** -20 * s:  # past the goal, or little left to add
-            break
-    return log_first + math.log(s)
 
 
 def min_committee_size(
@@ -188,51 +226,18 @@ def min_committee_size(
 
     ``model`` selects the evaluator: "average" uses the exact
     product-binomial probability; "exact" pins the adversary count to
-    round(n K P).  Multivariate hypergeometric counts are negatively
-    associated (Joag-Dev & Proschan 1983), so with T the marginal tail of
-    one committee, 1 - (1 - T)^K <= delta <= K T.  Each n is decided by the
-    first of three steps that settles it: the lower end with T replaced by
-    a head of its pmf sum (``_log_tail_head``), the sandwich with K T from
-    ``union_bound_hypergeometric`` (one log-gamma row), and the FFT evaluator
-    ``delta_exact_hypergeometric`` for the n whose sandwich straddles it.
+    round(n K P), and each n is decided as ``_feasibility`` says.
     """
     k = int(committees)
     if k < 1:
         raise ValueError(f"committees must be positive, got {committees}")
-    target = _validate_target(delta_target)
-    if model not in ("average", "exact"):
-        raise ValueError(f"model must be 'average' or 'exact', got {model!r}")
     p = rate_as_float(adversary_rate, "adversary_rate")
     a = rate_as_float(threshold, "threshold")
     if p >= a:
         raise ValueError("sizing needs adversary_rate below threshold")
-
-    if model == "average":
-        def feasible(n: int) -> bool:
-            layout = CommitteeLayout.from_runs(((n, k),))
-            return _average_delta(layout, threshold, adversary_rate) <= target
-    else:
-        # T above this puts the sandwich's lower end 1 - (1 - T)^K over the target
-        log_tail_cut = -_log_per_committee_budget(target, k)
-
-        def feasible(n: int) -> bool:
-            total = n * k
-            m = exact_count_from_rate(total, adversary_rate)
-            # covers the rounding of the log-gamma terms and of 64 ratio steps
-            margin = 16 * math.ulp(math.lgamma(total + 1)) + 2.0 ** -45
-            cut = log_tail_cut + margin
-            if _log_tail_head(floor_rate_multiple(threshold, n), n, total, m, cut) > cut:
-                return False
-            query = FailureQuery(CommitteeLayout.from_runs(((n, k),)),
-                                 ExactAdversary(m), threshold)
-            log_union = union_bound_hypergeometric(query)[0].raw_log_delta  # log K T
-            if log_union < math.log(target) - margin:
-                return True
-            if log_union - math.log(k) > cut:
-                return False
-            return delta_exact_hypergeometric(query).delta <= target
-
-    return scan_committee_size(feasible, require_stable=require_stable)
+    feasible = _feasibility(model, threshold, adversary_rate, delta_target)
+    return scan_committee_size(lambda n: feasible(CommitteeLayout.from_runs(((n, k),))),
+                               require_stable=require_stable)
 
 
 def _log_per_committee_budget(delta_target: float, committees: int) -> float:

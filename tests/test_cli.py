@@ -6,12 +6,15 @@ import json
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from oracles import exact_m_failure_survival, scan_largest_committee_count
 from shardrisk import cli
 from shardrisk.cli import main
+from shardrisk.partitions import layout_from_split
 
 
 def run_cli(capsys, *argv):
@@ -234,14 +237,54 @@ class TestSizeCommand:
         )
         assert code == 2
 
-    def test_exact_model_without_min_n_is_usage_error(self, capsys):
-        # max_committees has the average model only
+    def test_exact_model_largest_count_matches_oracle(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "size", "--nodes", "60", "--delta", "0.5",
+            "--threshold", "1/3", "--adversary-frac", "1/4", "--model", "exact",
+        )
+        assert code == 0
+
+        def delta_of(k):  # 15 of the 60 nodes adversarial
+            failing, _, ways = exact_m_failure_survival(
+                layout_from_split(60, k).runs, 15, Fraction(1, 3))
+            return Fraction(failing, ways)
+
+        oracle = scan_largest_committee_count(60, delta_of, 0.5)
+        row = parse_csv(out)[0]
+        assert (row["K"], row["iterations"]) == (str(oracle), "59")
+        assert oracle > 1  # not the single-committee fallback
+
+    def test_nodes_with_min_n_is_usage_error(self, capsys):
+        # --min-n-for-K fixes K, so a node total would be ignored
         code, out, err = run_cli(
-            capsys, "size", "--nodes", "1000", "--delta", "1e-3",
-            "--threshold", "1/3", "--adversary-frac", "0.25", "--model", "exact",
+            capsys, "size", "--nodes", "1000", "--min-n-for-K", "5", "--delta", "1e-3",
+            "--threshold", "1/3", "--adversary-frac", "1/4",
         )
         assert code == 2 and out == ""
-        assert "--min-n-for-K" in err
+        assert "--nodes" in err and "--min-n-for-K" in err
+
+    @pytest.mark.parametrize("model", ["average", "exact"])
+    def test_min_n_row_ends_with_bracket_flags(self, capsys, model):
+        code, out, _ = run_cli(
+            capsys, "size", "--delta", "1e-3", "--threshold", "1/3",
+            "--adversary-frac", "1/4", "--min-n-for-K", "2", "--model", model,
+        )
+        assert code == 0
+        assert out.splitlines()[0] == "K,n,model,bracket_lower,bracket_upper,bracket_flags"
+        row = parse_csv(out)[0]
+        assert row["n"] == ("306" if model == "average" else "141")
+        assert row["bracket_flags"] == ""
+
+    def test_min_n_bracket_error_in_its_flags(self, capsys):
+        # at P = 0 the size is 1 but the bracket is undefined; it says why
+        code, out, _ = run_cli(
+            capsys, "size", "--delta", "1e-4", "--threshold", "1/3",
+            "--adversary-frac", "0", "--min-n-for-K", "3",
+        )
+        assert code == 0
+        row = parse_csv(out)[0]
+        assert (row["n"], row["bracket_lower"], row["bracket_upper"]) == ("1", "", "")
+        assert row["bracket_flags"].startswith("error:need 0 < adversary_rate")
 
     @pytest.mark.parametrize("model", ["average", "exact"])
     def test_min_n_at_rate_above_threshold_exits_one(self, capsys, model):
@@ -616,15 +659,20 @@ class TestEvaluatorsRebindable:
         assert code == 0
         assert calls == [name]
 
-    def test_exact_sizing_reaches_the_union_bound(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("argv, column, value", [
+        (["--min-n-for-K", "3"], "n", "15"),
+        (["--nodes", "60"], "K", "4"),
+    ], ids=["min-n", "nodes"])
+    def test_exact_sizing_reaches_the_evaluator(self, capsys, monkeypatch, argv,
+                                                column, value):
+        # sizes where the sandwich straddles the target, so the FFT decides
         from shardrisk import sizing
 
-        calls = self._count(monkeypatch, sizing, "union_bound_hypergeometric")
-        code, out, _ = run_cli(capsys, "size", "--delta", "1e-3", "--threshold", "1/3",
-                               "--adversary-frac", "1/4", "--min-n-for-K", "2",
-                               "--model", "exact")
+        calls = self._count(monkeypatch, sizing, "delta_exact_hypergeometric")
+        code, out, _ = run_cli(capsys, "size", "--delta", "0.5", "--threshold", "1/3",
+                               "--adversary-frac", "1/4", "--model", "exact", *argv)
         assert code == 0
-        assert parse_csv(out)[0]["n"] == "141"
+        assert parse_csv(out)[0][column] == value
         assert calls
 
 

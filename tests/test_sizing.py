@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -11,7 +12,12 @@ from oracles import (
     scan_largest_committee_count,
 )
 from shardrisk.failure import FailureQuery, delta_exact_binomial
-from shardrisk.partitions import AverageAdversary, layout_from_split
+from shardrisk.partitions import (
+    AverageAdversary,
+    exact_count_from_rate,
+    hypergeometric_marginal_log_pmf,
+    layout_from_split,
+)
 from shardrisk.probcore import kl_divergence
 from shardrisk.sizing import (
     _log_tail_head,
@@ -30,11 +36,23 @@ def split_delta(total, k, threshold, rate):
     return delta_exact_binomial(query).delta
 
 
+@functools.cache
+def exact_m_split_delta(total, k, threshold, rate) -> Fraction:
+    """delta of the n/(n+1) split with exactly round(N P) adversaries, as a
+    big-integer ratio."""
+    count = exact_count_from_rate(total, rate)
+    failing, _, ways = exact_m_failure_survival(layout_from_split(total, k).runs,
+                                                count, threshold)
+    return Fraction(failing, ways)
+
+
 class TestMaxCommittees:
     def test_unreachable_target_keeps_single_committee(self):
-        result = max_committees(20, 1e-9, THIRD, 0.25)
-        assert (result.committees, result.base_size, result.remainder) == (1, 20, 0)
-        assert result.prob == 0.0  # the untouched initial state reports 0
+        for model in ("average", "exact"):
+            result = max_committees(20, 1e-9, THIRD, 0.25, model)
+            assert (result.committees, result.base_size, result.remainder) == (1, 20, 0)
+            assert result.prob == 0.0  # the untouched initial state reports 0
+            assert result.iterations == 19
 
     def test_matches_scan_oracle_at_twenty_nodes(self):
         result = max_committees(20, 0.5, THIRD, 0.25)
@@ -61,12 +79,32 @@ class TestMaxCommittees:
     @pytest.mark.parametrize("delta_target", [0.5, 1e-3])
     @pytest.mark.parametrize("rate", [0.1, 0.25])
     def test_matches_scan_oracle_sampled(self, delta_target, rate):
-        for total in (1, 2, 3, 7, 24, 60, 137, 250):
-            result = max_committees(total, delta_target, THIRD, rate)
-            oracle = scan_largest_committee_count(
-                total, lambda k: split_delta(total, k, THIRD, rate), delta_target
-            )
-            assert result.committees == oracle, (total, delta_target, rate)
+        for model, delta_of in (("average", split_delta), ("exact", exact_m_split_delta)):
+            for total in (1, 2, 3, 7, 24, 60, 137, 250, 300):
+                result = max_committees(total, delta_target, THIRD, rate, model)
+                oracle = scan_largest_committee_count(
+                    total, lambda k: delta_of(total, k, THIRD, rate), delta_target
+                )
+                assert result.committees == oracle, (model, total, delta_target, rate)
+
+    @pytest.mark.parametrize("total", [60, 300])
+    def test_exact_model_prob_is_the_exact_value_at_its_count(self, total):
+        result = max_committees(total, 0.5, THIRD, 0.25, "exact")
+        assert result.iterations == total - 1
+        exact = exact_m_split_delta(total, result.committees, THIRD, 0.25)
+        assert result.prob == pytest.approx(float(exact), rel=1e-9)
+        assert exact <= 0.5
+
+    def test_model_validation(self):
+        with pytest.raises(ValueError, match="model"):
+            max_committees(20, 0.5, THIRD, 0.25, "bogus")
+
+    def test_exact_model_at_fifty_thousand_nodes(self):
+        # at K = 2 a committee's first failing count has log pmf -945, far
+        # below the tail head's goal; exp of the gap once overflowed
+        result = max_committees(50_000, 1e-6, THIRD, 0.25, "exact")
+        assert result.committees > 2
+        assert result.prob <= 1e-6
 
 
 class TestMinCommitteeSize:
@@ -136,6 +174,18 @@ class TestMinCommitteeSize:
                     assert head > log_tail - 1e-3, (n, m)
                 early = _log_tail_head(cap, n, total, m, log_tail - 0.5)
                 assert early <= log_tail + 1e-12, (n, m)
+
+    def test_tail_head_starts_at_the_library_pmf(self):
+        # below every goal the head is the first failing count's log pmf
+        for cap, size, total, m in [(0, 1, 2, 1), (3, 10, 30, 7), (33, 100, 400, 100),
+                                    (166, 500, 10_000, 2_500), (9, 10, 20, 10),
+                                    (4, 12, 40, 30)]:
+            assert _log_tail_head(cap, size, total, m, -math.inf) == \
+                hypergeometric_marginal_log_pmf(cap + 1, size, total, m)
+
+    def test_tail_head_far_below_its_goal_is_finite(self):
+        head = _log_tail_head(16_666, 50_000, 100_000, 25_000, -14.0)
+        assert -math.inf < head < -1000.0
 
     @pytest.mark.parametrize("k, delta_target, expected",
                              [(2, 1e-3, 141), (20, 1e-6, 768), (100, 1e-6, 891)])
