@@ -11,6 +11,7 @@ count under the exactly-M model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -20,7 +21,6 @@ import numpy as np
 from .probcore import (
     LOG_ZERO,
     RateLike,
-    log_binomial_coefficient,
     rate_as_float,
 )
 
@@ -168,12 +168,16 @@ def exact_count_from_rate(total_nodes: int, rate: RateLike) -> int:
     return min(max(int(m), 0), int(total_nodes))
 
 
-def _marginal_log_pmf_primary(n_alpha: int, size: int, total: int, m: int) -> float:
-    return (
-        log_binomial_coefficient(size, n_alpha)
-        + log_binomial_coefficient(total - size, m - n_alpha)
-        - log_binomial_coefficient(total, m)
-    )
+def _marginal_log_pmf(j: int, size: int, total: int, m: int) -> float:
+    """``hypergeometric_marginal_log_pmf`` without its checks: j in support.
+
+    One log-gamma group per binomial coefficient of
+    C(size, j) C(total - size, m - j) / C(total, m), capped at log 1.
+    """
+    lg, rest = math.lgamma, total - size
+    return min((lg(size + 1) - lg(j + 1) - lg(size - j + 1))
+               + (lg(rest + 1) - lg(m - j + 1) - lg(rest - m + j + 1))
+               - (lg(total + 1) - lg(m + 1) - lg(total - m + 1)), 0.0)
 
 
 def hypergeometric_marginal_log_pmf(
@@ -197,4 +201,4 @@ def hypergeometric_marginal_log_pmf(
         raise ValueError(f"adversary count {m} exceeds node total {total}")
     if j > size or j > m or m - j > total - size:
         return LOG_ZERO
-    return min(_marginal_log_pmf_primary(j, size, total, m), 0.0)
+    return _marginal_log_pmf(j, size, total, m)

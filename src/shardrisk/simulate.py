@@ -4,7 +4,10 @@ Samples are drawn in fixed-size chunks, each chunk from its own splittable
 substream keyed by (seed, chunk index).  The chunk grid depends only on the
 sample count, never on the worker pool, so a run with 8 workers produces
 bit-identical failure counts to a run with 1.  Failure counting is an
-order-independent integer sum over chunks.
+order-independent integer sum over chunks.  ``estimate_delta`` tests the
+adversary model once and binds that model's chunk kernel to its data for
+the whole estimate: ``_average_failures`` with the per-group survival
+probabilities or ``_exact_failures`` with the per-committee caps.
 
 Only whether a committee exceeds its cap is counted, never its count.  The
 average model's committees are independent, so a group of m committees of
@@ -36,6 +39,7 @@ per live sample, whatever the committee count.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -108,6 +112,21 @@ def _group_survival(query: FailureQuery) -> np.ndarray:
                      for size, rate, cap, mult in _average_groups(query)])
 
 
+def _average_failures(rng: np.random.Generator, count: int,
+                      survival: np.ndarray) -> int:
+    """Failed samples among ``count`` average-model samples.
+
+    One uniform per group, compared with the group's survival probability,
+    ``BLOCK_BYTES`` of uniforms at a time; consecutive blocks from one
+    generator are the draws a single call would make.
+    """
+    k = survival.size
+    rows = max(1, BLOCK_BYTES // (8 * k))
+    # one expression per block, so no block outlives its comparison
+    return sum(int((rng.random((min(rows, count - start), k)) > survival).any(axis=1).sum())
+               for start in range(0, count, rows))
+
+
 def _exact_failures(rng: np.random.Generator, query: FailureQuery, count: int,
                     caps: np.ndarray) -> int:
     """Failed samples among ``count`` exactly-M partitions.
@@ -134,26 +153,6 @@ def _exact_failures(rng: np.random.Generator, query: FailureQuery, count: int,
     return failures
 
 
-def _failure_count_chunk(plan: SimulationPlan, chunk_index: int, count: int,
-                         limits: np.ndarray) -> int:
-    """Failed samples among ``count`` drawn from the chunk's own stream.
-
-    The average model compares one uniform per group with the group's
-    survival probability, ``BLOCK_BYTES`` of uniforms at a time;
-    consecutive blocks from one generator are the draws a single call would
-    make.  The exactly-M model compares sequential hypergeometric counts
-    with the caps over the whole chunk at once.
-    """
-    rng = _chunk_rng(plan.seed, chunk_index)
-    if isinstance(plan.query.adversary, ExactAdversary):
-        return _exact_failures(rng, plan.query, count, limits)
-    k = limits.size
-    rows = max(1, BLOCK_BYTES // (8 * k))
-    # one expression per block, so no block outlives its comparison
-    return sum(int((rng.random((min(rows, count - start), k)) > limits).any(axis=1).sum())
-               for start in range(0, count, rows))
-
-
 def _confidence_interval(failures: int, samples: int, delta_hat: float,
                          std_error: float) -> tuple[float, float]:
     # normal approximation, with a rule-of-three style fallback when either
@@ -173,42 +172,26 @@ def estimate_delta(plan: SimulationPlan) -> DeltaEstimate:
     """
     query = plan.query
     if isinstance(query.adversary, AverageAdversary):
-        limits = _group_survival(query)
+        kernel = functools.partial(_average_failures, survival=_group_survival(query))
     elif isinstance(query.adversary, ExactAdversary):
         sizes, mults = zip(*query.layout.runs)
-        limits = np.repeat(
-            [floor_rate_multiple(query.threshold, s) for s in sizes], mults)
+        caps = np.repeat([floor_rate_multiple(query.threshold, s) for s in sizes], mults)
+        kernel = functools.partial(_exact_failures, query=query, caps=caps)
     else:
         raise ValueError(f"unsupported adversary model {query.adversary!r}")
-    chunks = []
-    remaining = plan.samples
-    index = 0
-    while remaining > 0:
-        take = min(CHUNK_SAMPLES, remaining)
-        chunks.append((index, take))
-        remaining -= take
-        index += 1
 
-    if plan.workers == 1 or len(chunks) == 1:
-        failures = sum(
-            _failure_count_chunk(plan, idx, count, limits) for idx, count in chunks
-        )
+    def chunk_failures(start: int) -> int:
+        rng = _chunk_rng(plan.seed, start // CHUNK_SAMPLES)
+        return kernel(rng, count=min(CHUNK_SAMPLES, plan.samples - start))
+
+    starts = range(0, plan.samples, CHUNK_SAMPLES)
+    if plan.workers == 1 or len(starts) == 1:
+        failures = sum(map(chunk_failures, starts))
     else:
         with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-            failures = sum(
-                pool.map(
-                    lambda item: _failure_count_chunk(plan, item[0], item[1], limits),
-                    chunks,
-                )
-            )
+            failures = sum(pool.map(chunk_failures, starts))
 
     delta_hat = failures / plan.samples
     std_error = math.sqrt(delta_hat * (1.0 - delta_hat) / plan.samples)
     ci95 = _confidence_interval(failures, plan.samples, delta_hat, std_error)
-    return DeltaEstimate(
-        failures=failures,
-        samples=plan.samples,
-        delta_hat=delta_hat,
-        std_error=std_error,
-        ci95=ci95,
-    )
+    return DeltaEstimate(failures, plan.samples, delta_hat, std_error, ci95)

@@ -30,6 +30,7 @@ from .partitions import (
     AverageAdversary,
     CommitteeLayout,
     ExactAdversary,
+    _marginal_log_pmf,
     exact_count_from_rate,
     layout_from_split,
 )
@@ -96,13 +97,10 @@ def _delta(layout: CommitteeLayout, model: str, threshold, rate) -> float:
 
 def _log_tail_head(cap: int, size: int, total: int, m: int, goal: float) -> float:
     """Lower bound on log P(count > cap) under exactly-M: a head of the pmf sum."""
-    j, rest, lg = cap + 1, total - size, math.lgamma
+    j, rest = cap + 1, total - size
     if j > min(size, m) or m - j > rest:
         return LOG_ZERO
-    # hypergeometric_marginal_log_pmf(j, ...) bit for bit, minus its costly checks
-    log_first = min((lg(size + 1) - lg(j + 1) - lg(size - j + 1))
-                    + (lg(rest + 1) - lg(m - j + 1) - lg(rest - m + j + 1))
-                    - (lg(total + 1) - lg(m + 1) - lg(total - m + 1)), 0.0)
+    log_first = _marginal_log_pmf(j, size, total, m)
     if log_first > goal:
         return log_first
     need = math.exp(min(goal - log_first, 700.0))  # finite far below the goal
@@ -119,7 +117,9 @@ def _feasibility(model: str, threshold, rate,
                  delta_target: RateLike) -> Callable[[CommitteeLayout], bool]:
     """Whether a layout's exact failure probability is at most the target.
 
-    Under "exact" (M = round(N P)) the FFT evaluator runs only where a
+    Both sizing directions build it, and it rejects an adversary rate at or
+    above the threshold, where larger committees do not lower the risk
+    toward zero.  Under "exact" (M = round(N P)) the FFT evaluator runs only where a
     sandwich straddles the target.  Multivariate hypergeometric counts are
     negatively associated (Joag-Dev & Proschan 1983), so with T_g the
     marginal tail of one committee of run g, 1 - prod_g (1 - T_g)^m_g <=
@@ -127,6 +127,8 @@ def _feasibility(model: str, threshold, rate,
     below by a head of its pmf sum, exceeds the per-committee share of the
     target; then both ends are tried with one log-gamma row per run.
     """
+    if rate_as_float(rate, "adversary_rate") >= rate_as_float(threshold, "threshold"):
+        raise ValueError("sizing needs adversary_rate below threshold")
     target = _validate_target(delta_target)
     if model == "average":
         return lambda layout: _delta(layout, model, threshold, rate) <= target
@@ -178,10 +180,6 @@ def max_committees(
     a = rate_as_float(threshold, "threshold")
     if not 0.0 < a < 1.0:
         raise ValueError(f"threshold must lie strictly inside (0, 1), got {a!r}")
-    p = rate_as_float(adversary_rate, "adversary_rate")
-    if p >= 1.0:
-        raise ValueError("adversary_rate must be below 1")
-
     feasible = _feasibility(model, threshold, adversary_rate, delta_target)
     best = max((k for k in range(2, n_total + 1)
                 if feasible(layout_from_split(n_total, k))), default=1)
@@ -231,10 +229,6 @@ def min_committee_size(
     k = int(committees)
     if k < 1:
         raise ValueError(f"committees must be positive, got {committees}")
-    p = rate_as_float(adversary_rate, "adversary_rate")
-    a = rate_as_float(threshold, "threshold")
-    if p >= a:
-        raise ValueError("sizing needs adversary_rate below threshold")
     feasible = _feasibility(model, threshold, adversary_rate, delta_target)
     return scan_committee_size(lambda n: feasible(CommitteeLayout.from_runs(((n, k),))),
                                require_stable=require_stable)

@@ -52,7 +52,7 @@ from shardrisk.partitions import (
     ExactAdversary,
     layout_from_split,
 )
-from shardrisk.partitions import _marginal_log_pmf_primary
+from shardrisk.partitions import _marginal_log_pmf
 from shardrisk.probcore import kl_divergence
 from shardrisk.saddle import (
     delta_asymptotic,
@@ -140,7 +140,7 @@ def test_c02_normalisation_and_marginal_forms():
         n = sum(sizes)
         for m in range(n + 1):
             for j in range(max(0, m - (n - sizes[0])), min(sizes[0], m) + 1):
-                a = _marginal_log_pmf_primary(j, sizes[0], n, m)
+                a = _marginal_log_pmf(j, sizes[0], n, m)
                 b = hypergeometric_marginal_log_pmf_alternate(j, sizes[0], n, m)
                 worst = max(worst, abs(a - b))
     rng = np.random.default_rng(2024)
@@ -150,7 +150,7 @@ def test_c02_normalisation_and_marginal_forms():
         m = int(rng.integers(0, total))
         lo, hi = max(0, m - (total - size)), min(size, m)
         j = int(rng.integers(lo, hi + 1))
-        a = _marginal_log_pmf_primary(j, size, total, m)
+        a = _marginal_log_pmf(j, size, total, m)
         b = hypergeometric_marginal_log_pmf_alternate(j, size, total, m)
         worst = max(worst, abs(a - b))
     ok = normalisation_ok and worst <= 1e-12

@@ -287,10 +287,13 @@ class TestSizeCommand:
         assert row["bracket_flags"].startswith("error:need 0 < adversary_rate")
 
     @pytest.mark.parametrize("model", ["average", "exact"])
-    def test_min_n_at_rate_above_threshold_exits_one(self, capsys, model):
-        # no size is feasible: the average model once scanned toward 1e6
+    @pytest.mark.parametrize("direction", [["--min-n-for-K", "7"], ["--nodes", "300"]],
+                             ids=["min-n", "nodes"])
+    def test_min_n_at_rate_above_threshold_exits_one(self, capsys, model, direction):
+        # no layout is feasible: the average model once scanned toward 1e6, and
+        # --nodes once printed the single committee with probability 0
         code, out, err = run_cli(
-            capsys, "size", "--min-n-for-K", "7", "--delta", "1e-3",
+            capsys, "size", *direction, "--delta", "1e-3",
             "--threshold", "1/3", "--adversary-frac", "1/2", "--model", model,
         )
         assert code == 1 and out == ""

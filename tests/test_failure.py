@@ -309,6 +309,29 @@ class TestUnionBounds:
             tolerance = 16 * math.ulp(math.lgamma(total + 1))
             assert abs(_marginal_log_tail(size, total, m, cap) - expected) <= tolerance
 
+    @pytest.mark.parametrize("change, match", [
+        ({"total_nodes": 0}, "total_nodes must be positive"),
+        ({"committee_probs": [0.5, 0.4]}, "sum to 1"),
+        ({"rates": [0.25]}, "equal length"),
+        ({"threshold": 0}, "strictly inside"),
+        ({"threshold": 1}, "strictly inside"),
+        ({"size_hints": [50, 0]}, "size hints must be positive"),
+    ])
+    def test_random_sizes_rejects_bad_input(self, change, match):
+        args = {"total_nodes": 100, "committee_probs": [0.5, 0.5],
+                "rates": [0.25, 0.25], "threshold": THIRD, "size_hints": [50, 50]}
+        with pytest.raises(ValueError, match=match):
+            union_bound_random_sizes(**{**args, **change})
+
+    @pytest.mark.parametrize("bound", [theorem1_bounds, union_bound_fixed_sizes])
+    @pytest.mark.parametrize("sizes, rate", [((5, 5), 0.25), ((1, 7, 7), 0.9)])
+    def test_committees_that_cannot_fail_are_skipped(self, bound, sizes, rate):
+        # at threshold 1 every cap reaches its committee size: no term, delta 0
+        results = bound(avg_query(sizes, rate, Fraction(1)))
+        for result in results if isinstance(results, tuple) else (results,):
+            assert result.delta == 0.0
+            assert result.precondition_ok
+
     def test_hypergeometric_tail_sum_tight_for_disjoint_events(self):
         exact_sum, _ = union_bound_hypergeometric(exact_query((2, 2), 2, HALF))
         assert exact_sum.delta == pytest.approx(1 / 3, abs=1e-12)

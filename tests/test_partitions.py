@@ -19,7 +19,7 @@ from shardrisk.partitions import (
     hypergeometric_marginal_log_pmf,
     layout_from_split,
 )
-from shardrisk.partitions import _marginal_log_pmf_primary
+from shardrisk.partitions import _marginal_log_pmf
 from shardrisk.probcore import LOG_ZERO
 
 
@@ -184,7 +184,7 @@ class TestHypergeometricMarginal:
             m = int(rng.integers(0, total + 1))
             lo, hi = max(0, m - (total - size)), min(size, m)
             j = int(rng.integers(lo, hi + 1))
-            a = _marginal_log_pmf_primary(j, size, total, m)
+            a = _marginal_log_pmf(j, size, total, m)
             b = hypergeometric_marginal_log_pmf_alternate(j, size, total, m)
             assert a == pytest.approx(b, abs=1e-12)
 
@@ -194,7 +194,7 @@ class TestHypergeometricMarginal:
         total, size, m = 10_000, 100, 2500
         tolerance = 16 * math.ulp(math.lgamma(total + 1))
         for j in range(34, 44):
-            a = _marginal_log_pmf_primary(j, size, total, m)
+            a = _marginal_log_pmf(j, size, total, m)
             b = hypergeometric_marginal_log_pmf_alternate(j, size, total, m)
             assert abs(a - b) <= tolerance, j
             assert hypergeometric_marginal_log_pmf(j, size, total, m) == a

@@ -99,6 +99,16 @@ class TestMaxCommittees:
         with pytest.raises(ValueError, match="model"):
             max_committees(20, 0.5, THIRD, 0.25, "bogus")
 
+    @pytest.mark.parametrize("total, threshold, match", [
+        (0, THIRD, "total_nodes must be positive"),
+        (-5, THIRD, "total_nodes must be positive"),
+        (20, 0, "threshold must lie strictly inside"),
+        (20, 1, "threshold must lie strictly inside"),
+    ])
+    def test_rejects_bad_input(self, total, threshold, match):
+        with pytest.raises(ValueError, match=match):
+            max_committees(total, 0.5, threshold, 0.25)
+
     def test_exact_model_at_fifty_thousand_nodes(self):
         # at K = 2 a committee's first failing count has log pmf -945, far
         # below the tail head's goal; exp of the gap once overflowed
