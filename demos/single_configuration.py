@@ -43,7 +43,7 @@ def show(result):
 def main() -> None:
     layout = layout_from_split(NODES, COMMITTEES)
     print(f"{NODES} nodes, {COMMITTEES} committees of sizes "
-          f"{layout.sizes[0]}..{layout.sizes[-1]}, tolerance {THRESHOLD}")
+          f"{layout.runs[0][0]}..{layout.runs[-1][0]}, tolerance {THRESHOLD}")
 
     print("\nAdversaries appear independently at rate", RATE)
     avg_query = FailureQuery(layout, AverageAdversary(RATE), THRESHOLD)

@@ -53,15 +53,6 @@ _DELTA_COLUMNS = [
 ]
 
 
-def _union_random(query: FailureQuery, pick: int) -> DeltaResult:
-    """union-random (pick 0) or its simple form (pick 1) for one layout."""
-    layout = query.layout
-    probs = [s / layout.total for s in layout.sizes]
-    rates = query.adversary.rates_for(layout.committee_count)
-    return union_bound_random_sizes(layout.total, probs, rates, query.threshold,
-                                    layout.sizes)[pick]
-
-
 class _Method(NamedTuple):
     model: str  # "average": nodes adversarial at rate P; "exact": exactly M
     # FailureQuery -> DeltaResult, None for Monte Carlo.  Evaluators are
@@ -78,8 +69,8 @@ METHODS = {
     "theorem1-upper-ash": _Method("average", lambda q: theorem1_bounds(q)[1]),
     "theorem1-upper-ferrante": _Method("average", lambda q: theorem1_bounds(q)[2]),
     "union-fixed": _Method("average", lambda q: union_bound_fixed_sizes(q)),
-    "union-random": _Method("average", lambda q: _union_random(q, 0)),
-    "union-random-simple": _Method("average", lambda q: _union_random(q, 1)),
+    "union-random": _Method("average", lambda q: union_bound_random_sizes(q)[0]),
+    "union-random-simple": _Method("average", lambda q: union_bound_random_sizes(q)[1]),
     "exact-hypergeometric": _Method("exact", lambda q: delta_exact_hypergeometric(q)),
     "asymptotic": _Method("exact", lambda q: delta_asymptotic(
         q.layout, q.adversary.count, q.threshold)),

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -129,26 +128,15 @@ def _result(method, raw_log_delta, log_survival=None, *, clamped=None,
 
 
 def _average_groups(query: FailureQuery) -> list[tuple[int, float, int, int]]:
-    """(size, rate, allowed_count, multiplicity) groups of an average-model query.
+    """(size, rate, allowed_count, multiplicity) per run of an average-model query.
 
-    A single rate reads the layout's runs; per-committee rates group by
-    (size, rate) over the expanded committee sequence, in first-seen order.
     The allowed count floor(A * size) is the largest non-failing count.
     """
-    adversary = query.adversary
-    if not isinstance(adversary, AverageAdversary):
+    if not isinstance(query.adversary, AverageAdversary):
         raise ValueError("this evaluator needs an AverageAdversary model")
-    layout = query.layout
-    if isinstance(adversary.rate, tuple):
-        rates = adversary.rates_for(layout.committee_count)
-        groups = Counter(zip(layout.sizes, rates)).items()
-    else:
-        rate = float(adversary.rate)
-        groups = (((size, rate), mult) for size, mult in layout.runs)
-    return [
-        (size, rate, floor_rate_multiple(query.threshold, size), mult)
-        for (size, rate), mult in groups
-    ]
+    rate = float(query.adversary.rate)
+    return [(size, rate, floor_rate_multiple(query.threshold, size), mult)
+            for size, mult in query.layout.runs]
 
 
 @lru_cache(maxsize=65536)
@@ -571,50 +559,33 @@ def union_bound_fixed_sizes(query: FailureQuery) -> DeltaResult:
     return _union_kl("union-fixed", _average_groups(query), _PRECONDITION_WARNING)
 
 
-def union_bound_random_sizes(
-    total_nodes: int,
-    committee_probs: Sequence[RateLike],
-    rates: Sequence[RateLike],
-    threshold: RateLike,
-    size_hints: Sequence[int],
-) -> tuple[DeltaResult, DeltaResult]:
+def union_bound_random_sizes(query: FailureQuery) -> tuple[DeltaResult, DeltaResult]:
     """Union bounds for the fully random partition (sizes not conditioned on).
 
-    Committee sizes are themselves random there, so the per-committee
-    failure fraction q is evaluated at caller-chosen hint sizes (typically
-    the expected sizes).  Returns the pair (tight form, simpler form):
+    Each node joins committee mu with probability P(mu) = n_mu / N, the
+    share of the query's layout, so the layout's sizes are the expected
+    sizes, at which the failing fraction q is evaluated.  Returns the pair
+    (tight form, simpler form):
 
       tight   sum_mu (P(mu) exp(-D(q || p)) + 1 - P(mu))^N
       simple  sum_mu exp(-N P(mu) (1 - exp(-D(q || p))))
 
-    The simple form is never below the tight one (log x <= x - 1).
+    A run of m committees of one size adds one term, m times the
+    committee's.  The simple form is never below the tight one
+    (log x <= x - 1).
     """
-    n_total = int(total_nodes)
-    if n_total < 1:
-        raise ValueError(f"total_nodes must be positive, got {total_nodes}")
-    probs = [rate_as_float(p, "committee probability") for p in committee_probs]
-    if abs(math.fsum(probs) - 1.0) > 1e-12:
-        raise ValueError("committee probabilities must sum to 1")
-    if not (len(probs) == len(rates) == len(size_hints)):
-        raise ValueError("probs, rates and size_hints must have equal length")
-    a = rate_as_float(threshold, "threshold")
-    if not 0.0 < a < 1.0:
-        raise ValueError("threshold must lie strictly inside (0, 1)")
-    hints = [int(hint) for hint in size_hints]
-    if min(hints) < 1:
-        raise ValueError("size hints must be positive")
-    groups = [(hint, rate_as_float(rate, "rate"), floor_rate_multiple(threshold, hint),
-               prob_mu) for prob_mu, rate, hint in zip(probs, rates, hints)]
+    n_total = query.layout.total
     tight_terms = []
     simple_terms = []
     precondition_ok = True
-    for prob_mu, _, _, _, div in _kl_walk(groups):
+    for mult, size, _, _, div in _kl_walk(_average_groups(query)):
         if div is None:
             precondition_ok = False
         # exp(-D) - 1, in (-1, 0]; 0 gives the trivial bound 1 per committee
         decay = 0.0 if div is None else math.expm1(-div)
-        tight_terms.append(n_total * math.log1p(prob_mu * decay))
-        simple_terms.append(n_total * prob_mu * decay)
+        prob = size / n_total
+        tight_terms.append(math.log(mult) + n_total * math.log1p(prob * decay))
+        simple_terms.append(math.log(mult) + n_total * prob * decay)
     warnings = () if precondition_ok else (_PRECONDITION_WARNING,)
     return tuple(
         _result(method, log_sum_exp(np.array(terms)),

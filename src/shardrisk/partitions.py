@@ -63,9 +63,8 @@ class CommitteeLayout:
     Stored as run-length ``runs``: (size, multiplicity) pairs in committee
     order, with no two neighbouring runs of equal size.  That form is
     canonical, so equality and hashing are those of the committee sequence,
-    and the analytic evaluators cost O(runs) rather than O(committees).
-    ``sizes`` expands the runs back into the per-committee sequence, in
-    the original order.
+    and the analytic evaluators cost O(runs) rather than O(committees).  No
+    code path expands the runs into the committee sequence.
     """
 
     runs: tuple[tuple[int, int], ...]
@@ -79,10 +78,6 @@ class CommitteeLayout:
         layout = object.__new__(cls)
         object.__setattr__(layout, "runs", _merged_runs(runs))
         return layout
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(size for size, mult in self.runs for _ in range(mult))
 
     @property
     def total(self) -> int:
@@ -115,32 +110,15 @@ def layout_from_split(total_nodes: int, committees: int) -> CommitteeLayout:
 
 @dataclass(frozen=True)
 class AverageAdversary:
-    """Each node is adversarial independently; counts are product-binomial.
+    """Each node is adversarial independently at one ``rate``; counts are
+    product-binomial."""
 
-    ``rate`` is either a single rate broadcast to every committee or a
-    per-committee sequence.
-    """
+    rate: RateLike
 
-    rate: Union[RateLike, tuple[RateLike, ...]]
-
-    def __init__(self, rate):
-        if isinstance(rate, (list, tuple)):
-            rate = tuple(rate)
-            for r in rate:
-                rate_as_float(r, "rate")
-        else:
-            rate_as_float(rate, "rate")
-        object.__setattr__(self, "rate", rate)
-
-    def rates_for(self, committee_count: int) -> tuple[float, ...]:
-        """Per-committee float rates, broadcasting a scalar rate."""
-        if isinstance(self.rate, tuple):
-            if len(self.rate) != committee_count:
-                raise ValueError(
-                    f"{len(self.rate)} rates given for {committee_count} committees"
-                )
-            return tuple(float(r) for r in self.rate)
-        return (float(self.rate),) * committee_count
+    def __post_init__(self):
+        if isinstance(self.rate, (list, tuple)):
+            raise ValueError(f"rate must be a single rate, got {self.rate!r}")
+        rate_as_float(self.rate, "rate")
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,11 @@ bit-identical failure counts to a run with 1.  Failure counting is an
 order-independent integer sum over chunks.  ``estimate_delta`` tests the
 adversary model once and binds that model's chunk kernel to its data for
 the whole estimate: ``_average_failures`` with the per-group survival
-probabilities or ``_exact_failures`` with the per-committee caps.
+probabilities or ``_exact_failures`` with one cap per run of the layout.
 
 Only whether a committee exceeds its cap is counted, never its count.  The
-average model's committees are independent, so a group of m committees of
-equal (size, rate) survives when the largest of their m uniforms is at most
+average model's committees are independent, so a run of m committees of
+equal size survives when the largest of their m uniforms is at most
 c = P(Bin(n, p) <= cap), which happens with probability c^m.  Each sample
 therefore draws one uniform per group and fails when some group's uniform
 exceeds that group's c^m, the exponential of its term in the exact
@@ -28,13 +28,14 @@ O(BLOCK_BYTES) of them at any group count, and the blocks concatenate to
 the draws of a single call.
 
 The exactly-M model walks the committees in layout order over all samples
-of a chunk at once.  Each sample keeps only its number of adversaries still
-unplaced; committee i draws its count from the hypergeometric law of its
-size among the nodes still unplaced, and the last committee takes the
-remainder.  The urn is exchangeable, so these conditional draws follow the
-exact joint law.  A sample leaves at its first committee over the cap, so
-the walk stops once every sample has failed, and the state is one integer
-per live sample, whatever the committee count.
+of a chunk at once, run by run, with one cap per run.  Each sample keeps
+only its number of adversaries still unplaced; committee i draws its count
+from the hypergeometric law of its size among the nodes still unplaced,
+and the last committee takes the remainder.  The urn is exchangeable, so
+these conditional draws follow the exact joint law.  A sample leaves at its
+first committee over the cap, so the walk stops once every sample has
+failed, and the state is one integer per live sample, whatever the
+committee count.
 """
 
 from __future__ import annotations
@@ -99,9 +100,9 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def _group_survival(query: FailureQuery) -> np.ndarray:
-    """Survival probability per group of equal committees, average model.
+    """Survival probability per run of equal committees, average model.
 
-    A group of m committees of equal (size, rate) survives with probability
+    A run of m committees of equal size survives with probability
     c^m, c = P(Bin(size, rate) <= cap): the exponential of the group's own
     term in ``delta_exact_binomial``'s log survival.  +inf where the cap
     reaches the committee size, so that group draws its uniform but never
@@ -128,28 +129,31 @@ def _average_failures(rng: np.random.Generator, count: int,
 
 
 def _exact_failures(rng: np.random.Generator, query: FailureQuery, count: int,
-                    caps: np.ndarray) -> int:
+                    caps: list[int]) -> int:
     """Failed samples among ``count`` exactly-M partitions.
 
     Sequential conditional draws, one committee at a time over the live
-    samples; a sample leaves at its first committee over its cap.
+    samples, with one cap per run of the layout; a sample leaves at its
+    first committee over its cap.
     """
-    sizes = query.layout.sizes
     unplaced_nodes = query.layout.total
     unplaced = np.full(count, query.adversary.count, dtype=np.int64)
     failures = 0
-    for index, (size, cap) in enumerate(zip(sizes, caps.tolist())):
-        if index == len(sizes) - 1:
-            counts = unplaced
-        else:
-            counts = rng.hypergeometric(unplaced, unplaced_nodes - unplaced, size)
-        live = counts <= cap
-        failures += count - int(np.count_nonzero(live))
-        unplaced = (unplaced - counts)[live]
-        unplaced_nodes -= size
-        count = unplaced.size
-        if not count:
-            break
+    for (size, mult), cap in zip(query.layout.runs, caps):
+        for _ in range(mult):
+            # the last committee, the only one holding every unplaced node,
+            # takes the remainder
+            if unplaced_nodes == size:
+                counts = unplaced
+            else:
+                counts = rng.hypergeometric(unplaced, unplaced_nodes - unplaced, size)
+            live = counts <= cap
+            failures += count - int(np.count_nonzero(live))
+            unplaced = (unplaced - counts)[live]
+            unplaced_nodes -= size
+            count = unplaced.size
+            if not count:
+                return failures
     return failures
 
 
@@ -174,8 +178,7 @@ def estimate_delta(plan: SimulationPlan) -> DeltaEstimate:
     if isinstance(query.adversary, AverageAdversary):
         kernel = functools.partial(_average_failures, survival=_group_survival(query))
     elif isinstance(query.adversary, ExactAdversary):
-        sizes, mults = zip(*query.layout.runs)
-        caps = np.repeat([floor_rate_multiple(query.threshold, s) for s in sizes], mults)
+        caps = [floor_rate_multiple(query.threshold, size) for size, _ in query.layout.runs]
         kernel = functools.partial(_exact_failures, query=query, caps=caps)
     else:
         raise ValueError(f"unsupported adversary model {query.adversary!r}")

@@ -5,7 +5,9 @@ integer weights where possible, so the fast implementations are checked
 against arithmetic that cannot share their failure modes.  Reference
 helpers that the library itself does not call live here too: the joint
 log-pmfs of the partition family, the failure threshold, one-draw count
-samplers and the series expansions of the size-bracket budget.
+samplers, the series expansions of the size-bracket budget, the
+per-committee sequence of a layout and the per-committee form of the
+random-size union bounds.
 """
 
 from __future__ import annotations
@@ -17,15 +19,48 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from shardrisk.partitions import AverageAdversary, CommitteeLayout
+from shardrisk.failure import FailureQuery
+from shardrisk.partitions import CommitteeLayout
 from shardrisk.probcore import (
     LOG_ZERO,
     RateLike,
     floor_rate_multiple,
+    kl_divergence,
     log_binomial_coefficient,
     log_binomial_coefficients,
+    log_sum_exp,
     rate_as_float,
 )
+
+
+def committee_sizes(layout: CommitteeLayout) -> tuple[int, ...]:
+    """The per-committee size sequence of a layout, in committee order."""
+    return tuple(size for size, mult in layout.runs for _ in range(mult))
+
+
+def union_random_per_committee(query: FailureQuery) -> tuple[float, float]:
+    """Raw log (tight, simple) random-size union bounds, one term per committee.
+
+    Committee mu of size n_mu joins with probability P(mu) = n_mu / N and
+    fails at q = (floor(A n_mu) + 1) / n_mu; its terms are
+    N log1p(P(mu) (exp(-D(q || p)) - 1)) and N P(mu) (exp(-D(q || p)) - 1),
+    with exp(-D) - 1 taken as 0 where p < q < 1 fails, and no term where the
+    committee cannot fail.  This is the K-tuple form the run-wise
+    ``union_bound_random_sizes`` replaced.
+    """
+    n_total = query.layout.total
+    rate = rate_as_float(query.adversary.rate)
+    tight, simple = [], []
+    for size in committee_sizes(query.layout):
+        cap = floor_rate_multiple(query.threshold, size)
+        if cap >= size:
+            continue
+        q = (cap + 1) / size
+        decay = math.expm1(-kl_divergence(q, rate)) if rate < q < 1.0 else 0.0
+        prob = size / n_total
+        tight.append(n_total * math.log1p(prob * decay))
+        simple.append(n_total * prob * decay)
+    return log_sum_exp(np.array(tight)), log_sum_exp(np.array(simple))
 
 
 def partitions_up_to(n_max: int):
@@ -242,12 +277,10 @@ def hypergeometric_marginal_log_pmf_alternate(n_alpha: int, size: int, total: in
 
 
 def sample_counts_average(
-    layout: CommitteeLayout, rates, rng: np.random.Generator
+    layout: CommitteeLayout, rate: RateLike, rng: np.random.Generator
 ) -> np.ndarray:
     """One draw of per-committee adversary counts, independent-rate model."""
-    adversary = rates if isinstance(rates, AverageAdversary) else AverageAdversary(rates)
-    per_committee = np.asarray(adversary.rates_for(layout.committee_count))
-    return rng.binomial(np.asarray(layout.sizes), per_committee)
+    return rng.binomial(np.asarray(committee_sizes(layout)), rate_as_float(rate))
 
 
 def sample_counts_exact(
@@ -262,7 +295,7 @@ def sample_counts_exact(
     m = int(adversary_count)
     if not 0 <= m <= layout.total:
         raise ValueError(f"adversary_count {m} outside [0, {layout.total}]")
-    return rng.multivariate_hypergeometric(np.asarray(layout.sizes), m)
+    return rng.multivariate_hypergeometric(np.asarray(committee_sizes(layout)), m)
 
 
 def failure_threshold(threshold: RateLike, committee_size: int) -> int:
@@ -286,7 +319,7 @@ def _validate_counts(counts: Sequence[int], layout: CommitteeLayout) -> tuple[in
         raise ValueError(
             f"{len(counts)} counts given for {layout.committee_count} committees"
         )
-    for c, size in zip(counts, layout.sizes):
+    for c, size in zip(counts, committee_sizes(layout)):
         if c < 0 or c > size:
             raise ValueError(f"count {c} outside [0, {size}]")
     return counts
@@ -343,12 +376,14 @@ def product_binomial_log_pmf(
     """Log pmf of per-committee counts under the independent-rate model."""
     counts = _validate_counts(counts, layout)
     if isinstance(rates, (list, tuple)):
-        adversary = AverageAdversary(tuple(rates))
+        per_committee = [rate_as_float(r) for r in rates]
+        if len(per_committee) != layout.committee_count:
+            raise ValueError(f"{len(per_committee)} rates given for "
+                             f"{layout.committee_count} committees")
     else:
-        adversary = AverageAdversary(rates)
-    per_committee = adversary.rates_for(layout.committee_count)
+        per_committee = [rate_as_float(rates)] * layout.committee_count
     total = 0.0
-    for c, size, p in zip(counts, layout.sizes, per_committee):
+    for c, size, p in zip(counts, committee_sizes(layout), per_committee):
         term = _binomial_log_pmf(c, size, p)
         if term == LOG_ZERO:
             return LOG_ZERO
@@ -372,7 +407,7 @@ def multivariate_hypergeometric_log_pmf(
     if sum(counts) != m:
         return LOG_ZERO
     out = -log_binomial_coefficient(n_total, m)
-    for c, size in zip(counts, layout.sizes):
+    for c, size in zip(counts, committee_sizes(layout)):
         out += log_binomial_coefficient(size, c)
     return min(out, 0.0)
 

@@ -32,6 +32,7 @@ import pytest
 from oracles import (
     binomial_failure_enumeration,
     bracket_expansions,
+    committee_sizes,
     curvature_at_tilt,
     hypergeometric_failure_table,
     hypergeometric_marginal_log_pmf_alternate,
@@ -371,7 +372,7 @@ def test_c10_saddle_internals():
         layout = CommitteeLayout((size,) * k)
         rate = float(rng.uniform(0.04, 0.3))
         threshold = THIRD if rng.random() < 0.5 else Fraction(2, 5)
-        allowance = sum(math.floor(s * threshold) for s in layout.sizes)
+        allowance = sum(math.floor(s * threshold) for s in committee_sizes(layout))
         if rate >= allowance / layout.total:
             continue
         solution = solve_saddle(layout, rate, threshold)

@@ -113,6 +113,17 @@ class TestDeltaCommand:
         assert code == 1
         assert "error" in err
 
+    def test_bounds_at_threshold_one(self, capsys):
+        # no committee can hold more than all of its nodes: every bound is 0
+        code, out, err = run_cli(
+            capsys, "bounds", "--nodes", "100", "--committees", "4",
+            "--adversary-frac", "1/4", "--threshold", "1",
+        )
+        assert code == 0 and err == ""
+        rows = parse_csv(out)
+        assert len(rows) == 9
+        assert all(row["delta"] == "0.0" for row in rows)
+
 
 class TestInternalErrors:
     def test_bounds_at_ten_thousand_nodes(self, capsys):

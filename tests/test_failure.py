@@ -12,6 +12,7 @@ from oracles import (
     failure_threshold,
     hypergeometric_failure_table,
     log_ratio,
+    union_random_per_committee,
 )
 from shardrisk.failure import (
     DeltaResult,
@@ -87,12 +88,6 @@ class TestDeltaExactBinomial:
         expected = binomial_failure_enumeration(sizes, rate, threshold)
         got = delta_exact_binomial(avg_query(sizes, rate, threshold)).delta
         assert got == pytest.approx(expected, abs=1e-10)
-
-    def test_per_committee_rates(self):
-        query = FailureQuery(
-            CommitteeLayout((5, 5)), AverageAdversary((0.25, 0.0)), THIRD
-        )
-        assert delta_exact_binomial(query).delta == pytest.approx(0.3671875, abs=1e-12)
 
 
 class TestDeltaExactHypergeometric:
@@ -273,7 +268,7 @@ class TestUnionBounds:
 
     def test_random_sizes_single_committee_reduction(self):
         q = (33 + 1) / 100
-        tight, _ = union_bound_random_sizes(100, [1.0], [0.25], THIRD, [100])
+        tight, _ = union_bound_random_sizes(avg_query((100,), 0.25))
         assert tight.delta == pytest.approx(
             math.exp(-100 * kl_divergence(q, 0.25)), rel=1e-12
         )
@@ -282,20 +277,46 @@ class TestUnionBounds:
         rng = np.random.default_rng(3)
         for _ in range(50):
             k = int(rng.integers(1, 6))
-            raw = rng.random(k) + 0.05
-            probs = list(raw / raw.sum())
-            rates = list(rng.uniform(0.05, 0.3, size=k))
-            hints = [int(h) for h in rng.integers(10, 200, size=k)]
-            tight, simple = union_bound_random_sizes(500, probs, rates, THIRD, hints)
+            sizes = tuple(int(s) for s in rng.integers(10, 200, size=k))
+            rate = float(rng.uniform(0.05, 0.3))
+            tight, simple = union_bound_random_sizes(avg_query(sizes, rate))
             assert simple.raw_log_delta >= tight.raw_log_delta - 1e-12
 
     def test_random_sizes_dominates_fixed_at_expected_sizes(self):
-        tight, simple = union_bound_random_sizes(
-            100, [0.5, 0.5], [0.25, 0.25], THIRD, [50, 50]
-        )
-        fixed = union_bound_fixed_sizes(avg_query((50, 50), 0.25))
+        query = avg_query((50, 50), 0.25)
+        tight, simple = union_bound_random_sizes(query)
+        fixed = union_bound_fixed_sizes(query)
         assert tight.raw_log_delta >= fixed.raw_log_delta - 1e-12
         assert simple.raw_log_delta >= tight.raw_log_delta - 1e-12
+
+    @pytest.mark.parametrize("query", [
+        # the sweep-k golden grid: 1000 nodes split into K = 2, 9, ..., 30
+        *(FailureQuery(layout_from_split(1000, k), AverageAdversary(Fraction(1, 4)),
+                       THIRD) for k in range(2, 31, 7)),
+        # equal sizes that are not neighbours form separate runs
+        avg_query((12, 10, 12, 11), Fraction(1, 4)),
+        avg_query((5, 3, 5, 5), 0.25),
+        avg_query((5, 3, 5, 5), 0.5, HALF),
+        # precondition p < q fails on the committee of 20
+        avg_query((2, 20, 9), Fraction(2, 5)),
+    ], ids=lambda query: str(query.layout.runs))
+    def test_random_sizes_match_per_committee_form(self, query):
+        tight, simple = union_bound_random_sizes(query)
+        want_tight, want_simple = union_random_per_committee(query)
+        assert tight.raw_log_delta == pytest.approx(want_tight, rel=1e-12)
+        assert simple.raw_log_delta == pytest.approx(want_simple, rel=1e-12)
+
+    def test_random_sizes_match_per_committee_form_on_random_layouts(self):
+        rng = np.random.default_rng(16)
+        for _ in range(300):
+            sizes = tuple(int(s) for s in rng.choice((1, 2, 3, 5, 8, 13, 40),
+                                                     size=rng.integers(1, 9)))
+            query = avg_query(sizes, float(rng.choice((0.05, 0.25, 0.45))),
+                              (THIRD, HALF, Fraction(1, 5))[rng.integers(3)])
+            tight, simple = union_bound_random_sizes(query)
+            want_tight, want_simple = union_random_per_committee(query)
+            assert tight.raw_log_delta == pytest.approx(want_tight, rel=1e-12), sizes
+            assert simple.raw_log_delta == pytest.approx(want_simple, rel=1e-12), sizes
 
     def test_marginal_tail_row_matches_per_count_sum(self):
         # the log-gamma row against a per-count sum of the closed form, at
@@ -309,21 +330,12 @@ class TestUnionBounds:
             tolerance = 16 * math.ulp(math.lgamma(total + 1))
             assert abs(_marginal_log_tail(size, total, m, cap) - expected) <= tolerance
 
-    @pytest.mark.parametrize("change, match", [
-        ({"total_nodes": 0}, "total_nodes must be positive"),
-        ({"committee_probs": [0.5, 0.4]}, "sum to 1"),
-        ({"rates": [0.25]}, "equal length"),
-        ({"threshold": 0}, "strictly inside"),
-        ({"threshold": 1}, "strictly inside"),
-        ({"size_hints": [50, 0]}, "size hints must be positive"),
-    ])
-    def test_random_sizes_rejects_bad_input(self, change, match):
-        args = {"total_nodes": 100, "committee_probs": [0.5, 0.5],
-                "rates": [0.25, 0.25], "threshold": THIRD, "size_hints": [50, 50]}
-        with pytest.raises(ValueError, match=match):
-            union_bound_random_sizes(**{**args, **change})
+    def test_random_sizes_rejects_exact_model(self):
+        with pytest.raises(ValueError, match="needs an AverageAdversary"):
+            union_bound_random_sizes(exact_query((50, 50), 25))
 
-    @pytest.mark.parametrize("bound", [theorem1_bounds, union_bound_fixed_sizes])
+    @pytest.mark.parametrize("bound", [theorem1_bounds, union_bound_fixed_sizes,
+                                       union_bound_random_sizes])
     @pytest.mark.parametrize("sizes, rate", [((5, 5), 0.25), ((1, 7, 7), 0.9)])
     def test_committees_that_cannot_fail_are_skipped(self, bound, sizes, rate):
         # at threshold 1 every cap reaches its committee size: no term, delta 0

@@ -1,10 +1,9 @@
 """Run-length committee layouts.
 
-The analytic evaluators and sizing solvers read a layout's (size,
-multiplicity) runs and never expand the committee sequence; they agree with
-per-committee (K-tuple) evaluation and the exhaustive oracles; the
-average-model Monte Carlo draws per group too, and the exactly-M walk, which
-does expand it, keeps the committee order.
+The analytic evaluators, the sizing solvers and both Monte Carlo kernels
+read a layout's (size, multiplicity) runs and never expand the committee
+sequence; they agree with per-committee (K-tuple) evaluation and the
+exhaustive oracles, and the exactly-M walk keeps the committee order.
 """
 
 import math
@@ -14,7 +13,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import binomial_failure_enumeration, hypergeometric_failure_table
+from oracles import (
+    binomial_failure_enumeration,
+    committee_sizes,
+    hypergeometric_failure_table,
+    union_random_per_committee,
+)
 from shardrisk.cli import main
 from shardrisk.failure import (
     FailureQuery,
@@ -23,6 +27,7 @@ from shardrisk.failure import (
     theorem1_bounds,
     union_bound_fixed_sizes,
     union_bound_hypergeometric,
+    union_bound_random_sizes,
 )
 from shardrisk.partitions import (
     AverageAdversary,
@@ -32,6 +37,7 @@ from shardrisk.partitions import (
 )
 from shardrisk.probcore import binomial_tail_and_cdf, kl_divergence
 from shardrisk.saddle import delta_asymptotic, solve_saddle, truncated_binomial_summary
+from shardrisk.simulate import SimulationPlan, estimate_delta
 from shardrisk.sizing import max_committees, min_committee_size
 
 THIRD = Fraction(1, 3)
@@ -61,6 +67,13 @@ class TestNoCommitteeSequence:
         fixed = union_bound_fixed_sizes(average)
         assert fixed.raw_log_delta == pytest.approx(
             math.log(k) - 100 * kl_divergence(0.34, 0.05), rel=1e-12)
+        # one run of K committees joined with probability 1/K each
+        tight, simple = union_bound_random_sizes(average)
+        decay = math.expm1(-kl_divergence(0.34, 0.05))
+        assert tight.raw_log_delta == pytest.approx(
+            math.log(k) + 10**9 * math.log1p(decay / k), rel=1e-12)
+        assert simple.raw_log_delta == pytest.approx(
+            math.log(k) + 10**9 * decay / k, rel=1e-12)
         # an adversary count below every allowance leaves no marginal tail to sum
         tail_sum, hoeffding = union_bound_hypergeometric(
             FailureQuery(layout, ExactAdversary(30), THIRD))
@@ -68,24 +81,24 @@ class TestNoCommitteeSequence:
         assert 0.0 < hoeffding.delta < 1e-200
         assert delta_asymptotic(layout, 5 * 10**7, THIRD).precondition_ok
 
+    def test_exactly_m_walk_on_a_million_committees(self):
+        # committees of 10 at M/N = 1/2 over cap 3: every sample fails within
+        # a few dozen committees, so the walk leaves early
+        query = FailureQuery(layout_from_split(10**7, 10**6), ExactAdversary(5 * 10**6),
+                             THIRD)
+        estimate = estimate_delta(SimulationPlan(query, samples=64, seed=1))
+        assert estimate.failures == 64
+
     def test_sizing_solvers(self):
         assert max_committees(300, 1e-3, THIRD, 0.25).iterations == 299
         assert min_committee_size(10**6, 1e-6, THIRD, 0.25, "average") == 1419
 
 
-@st.composite
-def layouts_with_rates(draw):
-    sizes = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)
-                       .filter(lambda s: sum(s) <= 12)))
-    rates = tuple(draw(st.sampled_from((0.1, 0.25, 0.5))) for _ in sizes)
-    return sizes, rates
-
-
-def _per_committee_bounds(sizes, rates, threshold):
+def _per_committee_bounds(sizes, rate, threshold):
     """theorem1 (lower, ash, ferrante) and the union sum, one committee at a time."""
     survival = [1.0, 1.0, 1.0]
     union = 0.0
-    for size, rate in zip(sizes, rates):
+    for size in sizes:
         fail_at = math.floor(threshold * size) + 1
         if fail_at > size:
             continue
@@ -113,28 +126,29 @@ def _marginal_tail_sum(sizes, m, threshold):
     return float(acc)
 
 
-@given(case=layouts_with_rates(), threshold=st.sampled_from((THIRD, HALF)))
-@example(case=((5, 3, 5, 5), (0.25, 0.1, 0.25, 0.25)), threshold=THIRD)
+@given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4)
+       .filter(lambda s: sum(s) <= 12).map(tuple),
+       rate=st.sampled_from((0.1, 0.25, 0.5)), threshold=st.sampled_from((THIRD, HALF)))
+@example(sizes=(5, 3, 5, 5), rate=0.1, threshold=THIRD)
 @settings(max_examples=40, deadline=None)
-def test_runs_match_per_committee_evaluation(case, threshold):
-    sizes, rates = case
+def test_runs_match_per_committee_evaluation(sizes, rate, threshold):
     layout = CommitteeLayout(sizes)
-    assert layout.sizes == sizes
+    assert committee_sizes(layout) == sizes
     for runs in (layout.runs, [(s, 1) for s in sizes], [(s, 1) for s in sizes] + [(1, 0)]):
         rebuilt = CommitteeLayout.from_runs(runs)
         assert rebuilt == layout and hash(rebuilt) == hash(layout)
     assert all(a[0] != b[0] for a, b in zip(layout.runs, layout.runs[1:]))
 
-    for rate in (0.25, rates):
-        query = FailureQuery(layout, AverageAdversary(rate), threshold)
-        per_committee = rate if isinstance(rate, tuple) else (rate,) * len(sizes)
-        expected = binomial_failure_enumeration(sizes, per_committee, threshold)
-        assert delta_exact_binomial(query).delta == pytest.approx(expected, abs=1e-10)
-        products, union = _per_committee_bounds(sizes, per_committee, threshold)
-        for got, want in zip(theorem1_bounds(query), products):
-            assert got.delta == pytest.approx(want, abs=1e-12)
-        assert math.exp(union_bound_fixed_sizes(query).raw_log_delta) == pytest.approx(
-            union, rel=1e-12)
+    query = FailureQuery(layout, AverageAdversary(rate), threshold)
+    expected = binomial_failure_enumeration(sizes, rate, threshold)
+    assert delta_exact_binomial(query).delta == pytest.approx(expected, abs=1e-10)
+    products, union = _per_committee_bounds(sizes, rate, threshold)
+    for got, want in zip(theorem1_bounds(query), products):
+        assert got.delta == pytest.approx(want, abs=1e-12)
+    assert math.exp(union_bound_fixed_sizes(query).raw_log_delta) == pytest.approx(
+        union, rel=1e-12)
+    for got, want in zip(union_bound_random_sizes(query), union_random_per_committee(query)):
+        assert got.raw_log_delta == pytest.approx(want, rel=1e-12)
 
     n_total = layout.total
     fail, _ = hypergeometric_failure_table(sizes, threshold)

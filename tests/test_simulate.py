@@ -48,14 +48,12 @@ class TestSamplers:
     def test_average_degenerate_rates(self):
         layout = CommitteeLayout((3, 5, 2))
         assert (sample_counts_average(layout, 0.0, rng()) == 0).all()
-        assert (
-            sample_counts_average(layout, 1.0, rng()) == np.asarray(layout.sizes)
-        ).all()
+        assert (sample_counts_average(layout, 1.0, rng()) == (3, 5, 2)).all()
 
     def test_exact_degenerate_counts(self):
         layout = CommitteeLayout((3, 5, 2))
         assert (sample_counts_exact(layout, 0, rng()) == 0).all()
-        assert (sample_counts_exact(layout, 10, rng()) == np.asarray(layout.sizes)).all()
+        assert (sample_counts_exact(layout, 10, rng()) == (3, 5, 2)).all()
 
     def test_exact_count_always_conserved(self):
         layout = CommitteeLayout((4, 7, 9))
@@ -236,14 +234,11 @@ class TestEmpiricalDominance:
 
 # (sizes, rate, threshold) with p <= 1/2 and n p <= 30 for every committee,
 # where numpy's binomial sampler inverts one uniform per committee.  Only in
-# the first does every group hold one committee; in the fifth, Counter
-# merges the non-adjacent (5, 0.5) committees into one group.
+# the first does every group hold one committee.
 _INVERSION_CASES = (
     ((12, 10, 12, 11), 0.25, THIRD),
     ((5, 3, 5, 5), 0.5, THIRD),
     ((7, 9, 30, 3, 3, 40), 0.3, THIRD),
-    ((7, 9, 30, 3, 3, 40), (0.1, 0.5, 0.25, 0.3, 0.3, 0.2), THIRD),
-    ((5, 3, 5, 5), (0.5, 0.25, 0.5, 0.1), Fraction(1, 2)),
     ((50,) * 20, 0.1, Fraction(1, 5)),
     ((10,) * 1000, 0.1, Fraction(1, 2)),
 )
@@ -253,7 +248,6 @@ _INVERSION_CASES = (
 _SINGLETON_GROUP_CASES = (
     _INVERSION_CASES[0],
     ((7, 9, 30, 3, 4, 40), 0.3, THIRD),
-    ((5, 3, 5, 5), (0.5, 0.25, 0.1, 0.3), THIRD),
     ((10, 11) * 500, 0.1, Fraction(1, 2)),
 )
 
@@ -276,7 +270,7 @@ def test_singleton_groups_equal_binomial_counts(seed):
     k = len(sizes)
     # two chunks, the second partial; at K = 1000 one chunk of several blocks
     samples = 2000 if k > 100 else CHUNK_SAMPLES + 3000
-    rates = np.asarray(AverageAdversary(rate).rates_for(k))
+    rates = np.full(k, float(rate))
     caps = np.array([floor_rate_multiple(threshold, s) for s in sizes])
     expected = 0
     for index, start in enumerate(range(0, samples, CHUNK_SAMPLES)):
@@ -295,34 +289,26 @@ def test_cap_cdf_flags_the_counts_numpy_inverts_above_the_cap(case):
     # cap CDF exactly when the count it yields exceeds the cap
     sizes, rate, threshold = _INVERSION_CASES[case]
     k = len(sizes)
-    rates = AverageAdversary(rate).rates_for(k)
-    cdfs = np.array([_group_survival(_query((s,), r, threshold))[0]
-                     for s, r in zip(sizes, rates)])
+    cdfs = np.array([_group_survival(_query((s,), rate, threshold))[0] for s in sizes])
     caps = np.array([floor_rate_multiple(threshold, s) for s in sizes])
     count = 20_000 if k <= 100 else 2000
     uniforms = _chunk_rng(case, 0).random((count, k))
-    counts = _chunk_rng(case, 0).binomial(np.asarray(sizes), rates, size=(count, k))
+    counts = _chunk_rng(case, 0).binomial(np.asarray(sizes), np.full(k, float(rate)),
+                                          size=(count, k))
     assert ((uniforms > cdfs) == (counts > caps)).all()
     assert (counts > caps).any()
 
 
 def _group_survival_oracle(sizes, rate, threshold):
-    """c^m per group, exactly: adjacent runs for one rate, equal (size, rate)
-    pairs wherever they stand for per-committee rates."""
-    if isinstance(rate, tuple):
-        groups = {}
-        for pair in zip(sizes, rate):
-            groups[pair] = groups.get(pair, 0) + 1
-        groups = [(size, r, mult) for (size, r), mult in groups.items()]
-    else:
-        groups = [(size, rate, len(list(run))) for size, run in itertools.groupby(sizes)]
+    """c^m per run of adjacent equal sizes, exactly."""
     survival = []
-    for size, r, mult in groups:
+    for size, run in itertools.groupby(sizes):
+        mult = len(list(run))
         cap = math.floor(threshold * size)
         if cap >= size:
             survival.append(math.inf)
             continue
-        p = Fraction(float(r))
+        p = Fraction(float(rate))
         c = sum(math.comb(size, j) * p ** j * (1 - p) ** (size - j)
                 for j in range(cap + 1))
         survival.append(float(c ** mult))
@@ -333,7 +319,8 @@ def _group_survival_oracle(sizes, rate, threshold):
     *_INVERSION_CASES,
     ((10, 11) * 500, 0.1, Fraction(1, 2)),
     ((2, 7, 3, 3), 0.25, Fraction(1)),           # caps reach every size
-    ((4, 4, 6), (1.0, 1.0, 0.0), Fraction(1, 2)),  # p = 1 always fails, p = 0 never
+    ((4, 4, 6), 1.0, Fraction(1, 2)),            # p = 1 always fails
+    ((4, 4, 6), 0.0, Fraction(1, 2)),            # p = 0 never fails
 ])
 def test_group_thresholds_match_exact_survival(sizes, rate, threshold):
     query = _query(sizes, rate, threshold)
@@ -439,26 +426,78 @@ def test_exact_failure_frequency_matches_enumeration(seed):
         assert abs(estimate.delta_hat - exact) <= 5 * se
 
 
+def _run_tail(sizes, m, first, mult, cap):
+    """P(some committee first..first + mult - 1 holds more than cap adversaries)
+    under the exactly-M law, by enumerating every count vector."""
+    failing = 0
+    for counts in itertools.product(*[range(s + 1) for s in sizes]):
+        if sum(counts) == m and max(counts[first:first + mult]) > cap:
+            failing += math.prod(math.comb(s, c) for s, c in zip(sizes, counts))
+    return failing / math.comb(sum(sizes), m)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_exact_committee_counts_match_marginal_law(seed):
-    # one committee at a time gets a cap below its size, every other one a
-    # cap at its size; the failure frequency is then that committee's
-    # marginal tail P(X_i > c), and over every c it is the count histogram
+    # one run at a time gets a cap below its size, every other run a cap at
+    # its size; the failure frequency is then the tail P(Y > c) of the run's
+    # largest count Y, and over every c it is the histogram of Y (the
+    # committee's own count, for a run of one)
     sizes, m = (((5, 3, 5, 5), 6), ((5, 3, 5, 5), 5), ((4, 1, 6), 4),
                 ((6, 6), 6))[seed % 4]
-    n_total = sum(sizes)
-    query = FailureQuery(CommitteeLayout(sizes), ExactAdversary(m), THIRD)
+    layout = CommitteeLayout(sizes)
+    query = FailureQuery(layout, ExactAdversary(m), THIRD)
     samples = 4000
-    for index, size in enumerate(sizes):
+    first = 0
+    for index, (size, mult) in enumerate(layout.runs):
         for cap in range(size):
-            caps = np.array(sizes)
+            caps = [s for s, _ in layout.runs]
             caps[index] = cap
             failures = _exact_failures(_chunk_rng(seed, index * 100 + cap), query,
                                        samples, caps)
-            tail = sum(math.comb(size, j) * math.comb(n_total - size, m - j)
-                       for j in range(cap + 1, min(size, m) + 1)) / math.comb(n_total, m)
+            tail = _run_tail(sizes, m, first, mult, cap)
             if tail in (0.0, 1.0):
                 assert failures == tail * samples, (index, cap)
             else:
                 se = math.sqrt(tail * (1 - tail) / samples)
                 assert abs(failures / samples - tail) <= 5 * se, (index, cap)
+        first += mult
+
+
+def _per_committee_walk(rng, sizes, m, caps, count):
+    """The exactly-M walk over the expanded committee sequence, one cap per
+    committee: the form the run-wise walk replaced."""
+    unplaced_nodes = sum(sizes)
+    unplaced = np.full(count, m, dtype=np.int64)
+    failures = 0
+    for index, (size, cap) in enumerate(zip(sizes, caps)):
+        if index == len(sizes) - 1:
+            counts = unplaced
+        else:
+            counts = rng.hypergeometric(unplaced, unplaced_nodes - unplaced, size)
+        live = counts <= cap
+        failures += count - int(np.count_nonzero(live))
+        unplaced = (unplaced - counts)[live]
+        unplaced_nodes -= size
+        count = unplaced.size
+        if not count:
+            break
+    return failures
+
+
+@pytest.mark.parametrize("sizes, threshold, m", [
+    ((12, 10, 12, 11), THIRD, 11),
+    ((5, 3, 5, 5), THIRD, 6),
+    ((10,) * 300, Fraction(1, 2), 300),
+    ((50,) * 20, Fraction(1, 5), 250),
+    ((7, 9, 9, 30, 3, 3, 40, 7), THIRD, 25),
+    ((2, 7, 3), Fraction(1), 6),
+])
+def test_run_walk_draws_the_per_committee_walk(sizes, threshold, m):
+    # the same hypergeometric calls in the same order, so the same counts
+    query = FailureQuery(CommitteeLayout(sizes), ExactAdversary(m), threshold)
+    caps = [floor_rate_multiple(threshold, size) for size, _ in query.layout.runs]
+    per_committee = [floor_rate_multiple(threshold, size) for size in sizes]
+    for chunk in range(2):
+        got = _exact_failures(_chunk_rng(5, chunk), query, 1000, caps)
+        want = _per_committee_walk(_chunk_rng(5, chunk), sizes, m, per_committee, 1000)
+        assert got == want
