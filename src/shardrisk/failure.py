@@ -298,22 +298,38 @@ def _tilt_moments(groups: Sequence[_CapGroup], u: float) -> _TiltMoments:
                         total_mean, total_var, log_total, log_ratio)
 
 
-def _saddle_tilt(groups: Sequence[_CapGroup], target: int, u: float,
-                 side: str) -> tuple[float, _TiltMoments]:
-    """Tilt u at which the ``side`` ("surv" or "fail") tilted mean lies within
-    a quarter deviation of target, and the moments at that u.
+def _cap_groups(runs) -> list[_CapGroup]:
+    """Groups from (size, mult, top, cap) runs: rows of ln C(size, j), j <= top."""
+    groups = []
+    for size, mult, top, cap in runs:
+        counts = np.arange(top + 1, dtype=np.float64)
+        groups.append(_CapGroup(cap, top, mult, log_binomial_coefficients(size)[: top + 1],
+                                counts, counts * counts))
+    return groups
+
+
+def _within_quarter_deviation(gap: float, var: float) -> bool:
+    return 16.0 * gap * gap <= max(var, 1.0)
+
+
+def _saddle_tilt(groups: Sequence[_CapGroup], target: float, u: float, side: str,
+                 close=_within_quarter_deviation,
+                 bound: float = _TILT_BOUND) -> tuple[float, _TiltMoments]:
+    """Tilt u in [-bound, bound] at which the ``side`` ("surv" or "fail") tilted
+    mean is ``close`` to target, and the moments at that u.
 
     Safeguarded Newton on the mean, which increases in u with slope equal
     to the variance: a step leaving the bracket known so far is replaced by
-    bisection.  When target is an end of the support the mean only tends to
-    it, and the search stops once it is within 1/4 of it.
+    bisection.  ``close(gap, var)`` decides the mean's gap to target; by
+    default it is within a quarter deviation, which also stops the search
+    when target is an end of the support that the mean only tends to.
     """
-    lo, hi = -_TILT_BOUND, _TILT_BOUND
+    lo, hi = -bound, bound
     for _ in range(_TILT_STEPS):
         tilt = _tilt_moments(groups, u)
         mean, var = getattr(tilt, side)
         gap = mean - target
-        if 16.0 * gap * gap <= max(var, 1.0) or hi - lo < 1e-9:
+        if close(gap, var) or hi - lo < 1e-9:
             return u, tilt
         if gap < 0.0:
             lo = u
@@ -458,11 +474,7 @@ def delta_exact_hypergeometric(query: FailureQuery) -> DeltaResult:
     # no z^(M +- L) term exists, so the length-L circular product has no alias at z^M
     length = next_fast_len(max(m, degree - m) + 1, real=True)
     _check_memory(length, sum(top + 1 for _, _, top, _ in runs))
-    groups = []
-    for size, mult, top, cap in runs:
-        log_coeffs = log_binomial_coefficients(size)[: top + 1]
-        counts = np.arange(top + 1, dtype=np.float64)
-        groups.append(_CapGroup(cap, top, mult, log_coeffs, counts, counts * counts))
+    groups = _cap_groups(runs)
     log_norm = log_binomial_coefficient(n_total, m)
     u0 = math.log(m / (n_total - m))
     log_survival = _log_survival(groups, m, *_saddle_tilt(groups, m, u0, "surv"),

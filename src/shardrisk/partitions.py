@@ -138,12 +138,13 @@ AdversaryModel = Union[AverageAdversary, ExactAdversary]
 
 def exact_count_from_rate(total_nodes: int, rate: RateLike) -> int:
     """Adversary count for 'exactly N * P nodes': round half to even."""
-    rate_as_float(rate, "rate")
     if isinstance(rate, Fraction):
-        m = round(rate * total_nodes)
-    else:
-        m = round(float(rate) * total_nodes)
-    return min(max(int(m), 0), int(total_nodes))
+        num, den = rate.numerator, rate.denominator
+        if 0 <= num <= den:  # integers: a Fraction product and round() cost far more
+            m, rest = divmod(num * int(total_nodes), den)
+            return m + (2 * rest > den or (2 * rest == den and m & 1))
+    rate_as_float(rate, "rate")
+    return min(max(int(round(float(rate) * total_nodes)), 0), int(total_nodes))
 
 
 def _marginal_log_pmf(j: int, size: int, total: int, m: int) -> float:

@@ -13,12 +13,15 @@ at or below the allowed count, and
     psi(Q) = D(P || Q) + (1 / N) * sum_mu log mass_mu(Q)
 
 with mass_mu the probability that the conditioned event holds.  The tilt
-exists iff P is below the average allowed fraction; the truncated mean is
-strictly increasing in Q, so a plain bisection is robust.
+exists iff P is at most the average allowed fraction.  The truncated mean
+increases in u = logit Q with slope equal to its variance, so the tilt is
+found by the exactly-M evaluator's safeguarded Newton search on u.
 
 This is a leading-order estimate: the dropped correction is O(1/N), there
 is no rigorous error bound, and estimates slightly outside [0, 1] are
-clamped with a flag.
+clamped with a flag.  At M equal to the total allowance the estimate does
+not apply (Q runs to 1); there every committee holds exactly its allowed
+count, and the survival has the closed form prod_mu C(n_mu, cap_mu) / C(N, M).
 """
 
 from __future__ import annotations
@@ -26,9 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .failure import DeltaResult, _result
+from .failure import DeltaResult, _cap_groups, _part, _result, _saddle_tilt, _tilt_moments
 from .partitions import CommitteeLayout
 from .probcore import (
     LOG_ZERO,
@@ -36,7 +37,7 @@ from .probcore import (
     floor_rate_multiple,
     kl_divergence,
     log1mexp,
-    log_binomial_coefficients,
+    log_binomial_coefficient,
     rate_as_float,
 )
 
@@ -48,10 +49,9 @@ __all__ = [
     "truncated_binomial_summary",
 ]
 
-_BRACKET_LO = 1e-12
-_BRACKET_HI = 1.0 - 1e-12
 _RESIDUAL_TOL = 1e-12
-_MAX_ITER = 200
+# the tilt search keeps Q in [1e-12, 1 - 1e-12]: |u| <= logit(1 - 1e-12)
+_TILT_LIMIT = math.log1p(-1e-12) - math.log(1e-12)
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,17 @@ class SaddleSolution:
     converged: bool
 
 
+def _caps(layout: CommitteeLayout, threshold: RateLike) -> list[tuple[int, int, int]]:
+    """(size, multiplicity, allowed count) per run."""
+    return [(size, mult, min(floor_rate_multiple(threshold, size), size))
+            for size, mult in layout.runs]
+
+
+def _log_mass(part, size: int, u: float) -> float:
+    """ln P(Binomial(size, Q) <= cap) from the part of the e^(u j) weights."""
+    return part.log_mass - size * math.log1p(math.exp(u))
+
+
 def truncated_binomial_summary(
     committee_size: int, tilt: RateLike, threshold: RateLike
 ) -> TruncatedBinomialSummary:
@@ -97,19 +108,11 @@ def truncated_binomial_summary(
     if a <= 0.0:
         raise ValueError(f"threshold must be positive, got {threshold!r}")
     cap = min(floor_rate_multiple(threshold, size), size)
-    j = np.arange(cap + 1, dtype=np.float64)
-    log_w = (
-        np.array(log_binomial_coefficients(size)[: cap + 1])
-        + j * math.log(q)
-        + (size - j) * math.log1p(-q)
-    )
-    shift = float(log_w.max())
-    w = np.exp(log_w - shift)
-    total = float(w.sum())
-    log_mass = min(shift + math.log(total), 0.0)
-    mean = float((j * w).sum() / total)
-    second = float((j * j * w).sum() / total)
-    return TruncatedBinomialSummary(log_mass=log_mass, mean=mean, second_moment=second)
+    u = math.log(q) - math.log1p(-q)
+    (g,) = _cap_groups([(size, 1, cap, cap)])
+    part = _part(g.log_coeffs + u * g.counts, g.counts, g.counts_sq)
+    return TruncatedBinomialSummary(min(_log_mass(part, size, u), 0.0), part.mean,
+                                    part.var + part.mean * part.mean)
 
 
 def solve_saddle(
@@ -117,68 +120,51 @@ def solve_saddle(
 ) -> SaddleSolution:
     """Find the tilt Q at which the capped means average to the adversary rate.
 
-    Bisection over (1e-12, 1 - 1e-12) against an absolute residual of 1e-12,
-    justified by the strict monotonicity of the capped mean in the tilt.
-    The fully uncapped case (threshold >= 1) is solved in closed form:
-    tilt = rate, psi = 0, variance_sum = N * rate * (1 - rate).
+    Safeguarded Newton on u = logit Q within |u| <= logit(1 - 1e-12), to an
+    absolute residual of 1e-12 in the average capped mean; the mean is
+    strictly increasing in u.  At the average allowance the mean only tends
+    to the rate as Q -> 1, and the search starts at the bracket's upper end,
+    where the residual is already below the tolerance.  The returned
+    quantities are evaluated at u = logit(tilt), so that they match
+    ``truncated_binomial_summary`` at the returned tilt.  The fully uncapped
+    case (threshold >= 1) is solved in closed form: tilt = rate, psi = 0,
+    variance_sum = N * rate * (1 - rate).
     """
     p = rate_as_float(adversary_rate, "adversary_rate")
     if not 0.0 < p < 1.0:
         raise ValueError(f"adversary_rate must lie strictly inside (0, 1), got {p!r}")
     a = rate_as_float(threshold, "threshold")
     n_total = layout.total
-    runs = layout.runs
-    caps = {size: min(floor_rate_multiple(threshold, size), size) for size, _ in runs}
-    if all(caps[size] == size for size, _ in runs):
-        return SaddleSolution(
-            tilt=p,
-            psi=0.0,
-            variance_sum=n_total * p * (1.0 - p),
-            mean_residual=0.0,
-            converged=True,
-        )
+    runs = _caps(layout, threshold)
+    if all(cap == size for size, _, cap in runs):
+        return SaddleSolution(tilt=p, psi=0.0, variance_sum=n_total * p * (1.0 - p),
+                              mean_residual=0.0, converged=True)
     if p >= a:
         raise ValueError(
             f"no tilt exists: adversary rate {p!r} must be strictly below the "
             f"threshold fraction {a!r}"
         )
-    mean_sup = sum(mult * caps[size] for size, mult in runs) / n_total
+    mean_sup = sum(mult * cap for _, mult, cap in runs) / n_total
     if p > mean_sup:
         raise ValueError(
             f"no tilt exists: adversary rate {p!r} exceeds the average "
             f"allowed fraction {mean_sup!r}"
         )
-
-    lo, hi = _BRACKET_LO, _BRACKET_HI
-    for _ in range(_MAX_ITER):
-        q = 0.5 * (lo + hi)
-        # the last step's summaries give psi and the variance sum too
-        summaries = [(mult, truncated_binomial_summary(size, q, threshold))
-                     for size, mult in runs]
-        mean_acc = 0.0  # a plain loop: sum() compensates from Python 3.12
-        for mult, summary in summaries:
-            mean_acc += mult * summary.mean
-        residual = mean_acc / n_total - p
-        if abs(residual) <= _RESIDUAL_TOL:
-            break
-        if residual < 0.0:
-            lo = q
-        else:
-            hi = q
-        if hi - lo <= 1e-17:
-            break
+    groups = _cap_groups((size, mult, cap, cap) for size, mult, cap in runs)
+    u = _TILT_LIMIT if p == mean_sup else math.log(p) - math.log1p(-p)
+    u, tilt = _saddle_tilt(groups, p * n_total, u, "surv",
+                           lambda gap, _: abs(gap) <= _RESIDUAL_TOL * n_total,
+                           _TILT_LIMIT)
+    q = 1.0 / (1.0 + math.exp(-u))
+    snapped = math.log(q) - math.log1p(-q)
+    if snapped != u:  # the u that ``truncated_binomial_summary`` takes from q
+        u, tilt = snapped, _tilt_moments(groups, snapped)
+    residual = tilt.surv[0] / n_total - p
     psi = kl_divergence(p, q)
-    variance_sum = 0.0
-    for mult, summary in summaries:
-        psi += mult * summary.log_mass / n_total
-        variance_sum += mult * summary.variance
-    return SaddleSolution(
-        tilt=q,
-        psi=psi,
-        variance_sum=variance_sum,
-        mean_residual=residual,
-        converged=abs(residual) <= _RESIDUAL_TOL,
-    )
+    for (size, mult, _), gt in zip(runs, tilt.groups):
+        psi += mult * _log_mass(gt.surv, size, u) / n_total
+    return SaddleSolution(tilt=q, psi=psi, variance_sum=tilt.surv[1], mean_residual=residual,
+                          converged=abs(residual) <= _RESIDUAL_TOL)
 
 
 def delta_asymptotic(
@@ -186,9 +172,11 @@ def delta_asymptotic(
 ) -> DeltaResult:
     """Leading-order failure probability under the exactly-M model.
 
-    Valid for 0 < M < N with M / N strictly below the threshold fraction.
-    The survival estimate sqrt(N P (1-P) / variance_sum) * exp(N * psi) is
-    clamped into [0, 1] with a flag when the leading order overshoots.
+    Valid for 0 < M < N with M at most the total allowance.  The survival
+    estimate sqrt(N P (1-P) / variance_sum) * exp(N * psi) is clamped into
+    [0, 1] with a flag when the leading order overshoots.  At M equal to the
+    total allowance every committee must hold exactly its allowed count, and
+    the survival prod_mu C(n_mu, cap_mu) / C(N, M) is returned exactly.
     """
     m = int(adversary_count)
     n_total = layout.total
@@ -198,6 +186,12 @@ def delta_asymptotic(
     p = m / n_total
     if a >= 1.0:
         return _result("asymptotic", LOG_ZERO, 0.0, clamped=False)
+    runs = _caps(layout, threshold)
+    if m == sum(mult * cap for _, mult, cap in runs):
+        log_survival = min(sum(mult * log_binomial_coefficient(size, cap)
+                               for size, mult, cap in runs)
+                           - log_binomial_coefficient(n_total, m), 0.0)
+        return _result("asymptotic", log1mexp(log_survival), log_survival, clamped=False)
     solution = solve_saddle(layout, p, threshold)
     log_prefactor = 0.5 * (
         math.log(n_total * p * (1.0 - p)) - math.log(solution.variance_sum)

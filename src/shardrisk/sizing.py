@@ -113,28 +113,72 @@ def _log_tail_head(cap: int, size: int, total: int, m: int, goal: float) -> floa
     return log_first + math.log(s)
 
 
+def _log_binomial_tail_head(cap: int, size: int, rate: float, goal: float) -> float:
+    """``_log_tail_head`` for X ~ Binomial(size, rate): log P(X > cap) from below."""
+    j = cap + 1
+    if j > size or rate == 0.0:
+        return LOG_ZERO
+    lg = math.lgamma
+    log_first = (lg(size + 1) - lg(j + 1) - lg(size - j + 1)
+                 + j * math.log(rate) + (size - j) * math.log1p(-rate))
+    if log_first > goal:
+        return min(log_first, 0.0)
+    need = math.exp(min(goal - log_first, 700.0))
+    odds = rate / (1.0 - rate)
+    s = t = 1.0
+    for j in range(cap + 1, min(cap + 65, size)):
+        t *= (size - j) / (j + 1) * odds
+        s += t
+        if s > need or t < 2.0 ** -20 * s:
+            break
+    return min(log_first + math.log(s), 0.0)
+
+
 def _feasibility(model: str, threshold, rate,
                  delta_target: RateLike) -> Callable[[CommitteeLayout], bool]:
     """Whether a layout's exact failure probability is at most the target.
 
     Both sizing directions build it, and it rejects an adversary rate at or
     above the threshold, where larger committees do not lower the risk
-    toward zero.  Under "exact" (M = round(N P)) the FFT evaluator runs only where a
+    toward zero.  Each run g has a single-committee tail T_g, bounded below
+    by a head of its pmf sum, so that a few float steps often settle a
+    layout before any row is built.
+
+    Under "average" delta = 1 - prod_g (1 - T_g)^m_g exactly, so that
+    complement product over the heads bounds delta below: a layout whose
+    bound exceeds the target by more than rounding is infeasible, and the
+    others are decided by ``delta_exact_binomial``.
+
+    Under "exact" (M = round(N P)) the FFT evaluator runs only where a
     sandwich straddles the target.  Multivariate hypergeometric counts are
-    negatively associated (Joag-Dev & Proschan 1983), so with T_g the
-    marginal tail of one committee of run g, 1 - prod_g (1 - T_g)^m_g <=
-    delta <= sum_g m_g T_g.  First, a layout is infeasible if every T_g, bounded
-    below by a head of its pmf sum, exceeds the per-committee share of the
-    target; then both ends are tried with one log-gamma row per run.
+    negatively associated (Joag-Dev & Proschan 1983), so 1 - prod_g (1 -
+    T_g)^m_g <= delta <= sum_g m_g T_g.  First, a layout is infeasible if
+    every head exceeds the per-committee share of the target; then both
+    ends are tried with one log-gamma row per run.
     """
     if rate_as_float(rate, "adversary_rate") >= rate_as_float(threshold, "threshold"):
         raise ValueError("sizing needs adversary_rate below threshold")
     target = _validate_target(delta_target)
+    log_target = math.log(target)
     if model == "average":
-        return lambda layout: _delta(layout, model, threshold, rate) <= target
+        p = float(rate)
+        log_scale = -math.log(min(p, 1.0 - p)) if p > 0.0 else 0.0
+
+        def feasible_average(layout: CommitteeLayout) -> bool:
+            top = max(size for size, _ in layout.runs)
+            # covers the rounding of the log pmf terms, of 64 ratio steps and of log_target
+            margin = 16 * math.ulp(math.lgamma(top + 1) + top * log_scale) + 2.0 ** -40
+            goal = margin - _log_per_committee_budget(target, layout.committee_count)
+            heads = [(_log_binomial_tail_head(floor_rate_multiple(threshold, size), size,
+                                              p, goal), mult)
+                     for size, mult in layout.runs]
+            if stable_complement_product(heads) > log_target + margin:
+                return False
+            return _delta(layout, model, threshold, rate) <= target
+
+        return feasible_average
     if model != "exact":
         raise ValueError(f"model must be 'average' or 'exact', got {model!r}")
-    log_target = math.log(target)
 
     def feasible(layout: CommitteeLayout) -> bool:
         total = layout.total

@@ -174,6 +174,52 @@ def curvature_at_tilt(
     return acc
 
 
+def _capped_binomial_moments(size: int, q: float, cap: int) -> tuple[float, float, float]:
+    """(log mass, mean, variance) of Binomial(size, q) given a count <= cap, from one row."""
+    j = np.arange(cap + 1, dtype=np.float64)
+    log_w = (np.array(log_binomial_coefficients(size)[: cap + 1])
+             + j * math.log(q) + (size - j) * math.log1p(-q))
+    shift = float(log_w.max())
+    w = np.exp(log_w - shift)
+    total = float(w.sum())
+    mean = float((j * w).sum() / total)
+    return shift + math.log(total), mean, float((j * j * w).sum() / total) - mean * mean
+
+
+def bisection_saddle(layout: CommitteeLayout, adversary_rate: float,
+                     threshold: RateLike) -> tuple[float, float]:
+    """(tilt, leading-order log survival) of the saddle-point estimate, by bisection.
+
+    Bisects Q over (1e-12, 1 - 1e-12) until the capped means average to the
+    rate within 1e-12, rebuilding every run's truncated binomial row at each
+    step, then returns Q and sqrt(N P (1 - P) / sum Var) exp(N psi) in log
+    form, unclamped.  This is the tilt solve ``shardrisk.saddle`` used
+    before its Newton search.
+    """
+    n_total = layout.total
+    p = float(adversary_rate)
+    runs = [(size, mult, min(floor_rate_multiple(threshold, size), size))
+            for size, mult in layout.runs]
+    lo, hi = 1e-12, 1.0 - 1e-12
+    for _ in range(200):
+        q = 0.5 * (lo + hi)
+        moments = [(mult, _capped_binomial_moments(size, q, cap)) for size, mult, cap in runs]
+        residual = 0.0
+        for mult, (_, mean, _) in moments:
+            residual += mult * mean
+        residual = residual / n_total - p
+        if abs(residual) <= 1e-12 or hi - lo <= 1e-17:
+            break
+        if residual < 0.0:
+            lo = q
+        else:
+            hi = q
+    psi = kl_divergence(p, q) + sum(mult * log_mass
+                                    for mult, (log_mass, _, _) in moments) / n_total
+    variance = sum(mult * var for mult, (_, _, var) in moments)
+    return q, 0.5 * math.log(n_total * p * (1.0 - p) / variance) + n_total * psi
+
+
 def _truncated_product(a: list[int], b: list[int], m: int) -> list[int]:
     """Coefficients 0..m of the product of integer polynomials a and b."""
     return [

@@ -605,7 +605,11 @@ class TestMonteCarloSweepDeterminism:
 # bracket_flags column (empty here); no other byte of it changed.  Two
 # entries were recorded before sweep-k, sweep-n and size shared one sweep
 # loop: sweep-k-monte-carlo pins the Monte Carlo value and _se columns, and
-# sweep-n-from-k1 the asymptotic, bound and bracket cells from K = 1.
+# sweep-n-from-k1 the asymptotic, bound and bracket cells from K = 1.  The
+# asymptotic cells of delta-split, delta-layout, delta-json, asymptotic and
+# sweep-k were re-recorded when the tilt solve became a Newton search: they
+# moved by at most 1.1e-12 in delta, 8.2e-12 relative in log delta and
+# 2.7e-12 relative in log survival.
 _GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 
 
@@ -691,8 +695,10 @@ class TestEvaluatorsRebindable:
 
 
 # Defect 1d: the asymptotic column of sweep-n reads a survival estimate
-# clamped to 1 as delta = 0, so at K = 2 it reports 4 with no flag, far
+# clamped to 1 as delta = 0, so at K = 2 it reports 48 with no flag, far
 # below the exact-binomial size.  Pinned here until the column flags it.
+# (It reported 4 while the estimate also clamped at n = 4, where M = 2 fills
+# both allowances and the exact survival is 16/28.)
 @pytest.mark.xfail(strict=True, reason="defect 1d: clamped asymptotic read as feasible")
 def test_sweep_n_asymptotic_flags_clamp_or_reaches_exact_size(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--mode", "sweep-n", "--k-range", "2:2",

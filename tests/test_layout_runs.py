@@ -174,6 +174,11 @@ def test_runs_match_per_committee_evaluation(sizes, rate, threshold):
         assert solution.variance_sum == pytest.approx(variance_sum, rel=1e-12)
         assert solution.psi == pytest.approx(psi, abs=1e-12)
         log_survival = 0.5 * math.log(n_total * p * (1 - p) / variance_sum) + n_total * psi
+        caps = [math.floor(threshold * s) for s in sizes]
+        if m == sum(caps):
+            # at the total allowance every committee sits at its cap: exact survival
+            ways = math.prod(math.comb(s, c) for s, c in zip(sizes, caps))
+            log_survival = math.log(ways) - math.log(math.comb(n_total, m))
         assert delta_asymptotic(layout, m, threshold).log_survival == pytest.approx(
             min(log_survival, 0.0), abs=1e-10)
 

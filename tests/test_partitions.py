@@ -71,6 +71,23 @@ class TestAdversaryModels:
         assert exact_count_from_rate(6, Fraction(1, 4)) == 2
         assert exact_count_from_rate(1000, Fraction(1, 4)) == 250
 
+    def test_exact_count_of_a_fraction_is_its_rounded_product(self):
+        # the integer path against round(Fraction), ties (N P = k + 1/2) included
+        ties = 0
+        for den in range(1, 13):
+            for num in range(den + 1):
+                rate = Fraction(num, den)
+                for total in [*range(0, 50), 999, 10**6 + 1, 3 * 10**17 + 7]:
+                    assert exact_count_from_rate(total, rate) == round(rate * total), \
+                        (total, rate)
+                    ties += (rate * total).denominator == 2
+        assert ties > 100
+
+    def test_exact_count_rejects_a_fraction_outside_the_unit_interval(self):
+        for rate in (Fraction(-1, 4), Fraction(5, 4)):
+            with pytest.raises(ValueError, match="rate must lie in"):
+                exact_count_from_rate(10, rate)
+
 
 class TestMultinomial:
     def test_fair_split_of_two(self):

@@ -4,7 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import committee_sizes, curvature_at_tilt
+import shardrisk.failure
+import shardrisk.saddle
+from oracles import bisection_saddle, committee_sizes, curvature_at_tilt
 from shardrisk.failure import FailureQuery, delta_exact_hypergeometric
 from shardrisk.partitions import CommitteeLayout, ExactAdversary, layout_from_split
 from shardrisk.saddle import (
@@ -199,3 +201,68 @@ class TestDeltaAsymptotic:
             delta_asymptotic(CommitteeLayout((30, 30)), 0, THIRD)
         with pytest.raises(ValueError):
             delta_asymptotic(CommitteeLayout((30, 30)), 60, THIRD)
+
+
+def _newton_grid():
+    """(layout, M) pairs: splits at N = 60..3e5, K = 2..1000, P in {1/10, 1/4,
+    3/10}, plus layouts of several runs; counts at or above the allowance
+    (no tilt, or the closed form) are left out."""
+    layouts = [layout_from_split(n, k)
+               for n in (60, 300, 1000, 3000, 10**4, 3 * 10**4, 10**5, 3 * 10**5)
+               for k in (2, 5, 20, 100, 300, 1000) if 3 * k <= n]
+    layouts += [CommitteeLayout.from_runs(runs) for runs in (
+        ((37, 3), (101, 2), (250, 4)), ((5, 7), (60, 1), (9, 30)),
+        ((1000, 2), (999, 5), (3, 100)), ((12, 40), (400, 3)))]
+    for layout in layouts:
+        allowance = sum(mult * (size // 3) for size, mult in layout.runs)
+        for rate in (Fraction(1, 10), Fraction(1, 4), Fraction(3, 10)):
+            m = round(rate * layout.total)
+            if 0 < m < allowance:
+                yield layout, m
+
+
+class TestNewtonSolve:
+    def test_matches_bisection_oracle(self):
+        checked = 0
+        for layout, m in _newton_grid():
+            p = m / layout.total
+            tilt, log_survival = bisection_saddle(layout, p, THIRD)
+            want = min(log_survival, 0.0)
+            got = delta_asymptotic(layout, m, THIRD).log_survival
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (layout.runs, m)
+            assert solve_saddle(layout, p, THIRD).tilt == pytest.approx(tilt, rel=1e-9)
+            checked += 1
+        assert checked > 100
+
+    def test_few_moment_evaluations_per_solve(self, monkeypatch):
+        # bisection takes about 36; a return to it fails here
+        calls = []
+        real = shardrisk.failure._tilt_moments
+
+        def counted(groups, u):
+            calls.append(u)
+            return real(groups, u)
+
+        monkeypatch.setattr(shardrisk.failure, "_tilt_moments", counted)
+        monkeypatch.setattr(shardrisk.saddle, "_tilt_moments", counted)
+        for layout, m in _newton_grid():
+            calls.clear()
+            assert solve_saddle(layout, m / layout.total, THIRD).converged
+            assert 0 < len(calls) <= 12, (layout.runs, m, len(calls))
+
+
+class TestAllowanceBoundary:
+    # at M = sum_mu m_mu cap_mu every committee holds exactly its allowed count
+    def test_small_layout_matches_big_integers(self):
+        result = delta_asymptotic(CommitteeLayout((5, 3, 5, 5)), 4, THIRD)
+        survival = Fraction(5 * 3 * 5 * 5, math.comb(18, 4))
+        assert result.delta == pytest.approx(float(1 - survival), rel=1e-13)
+        assert result.log_survival == pytest.approx(math.log(survival), rel=1e-13)
+        assert not result.clamped and result.warnings == ()
+
+    def test_thousand_nodes_matches_big_integers(self):
+        result = delta_asymptotic(layout_from_split(1000, 50), 300, THIRD)
+        want = 50 * math.log(math.comb(20, 6)) - math.log(math.comb(1000, 300))
+        assert want == pytest.approx(-79.014, abs=1e-3)
+        assert result.log_survival == pytest.approx(want, rel=1e-12)
+        assert result.delta == 1.0 and result.log_delta == pytest.approx(-math.exp(want))

@@ -11,15 +11,17 @@ from oracles import (
     scan_exact_m_committee_size,
     scan_largest_committee_count,
 )
-from shardrisk.failure import FailureQuery, delta_exact_binomial
+from shardrisk.failure import FailureQuery, _binomial_split_cached, delta_exact_binomial
 from shardrisk.partitions import (
     AverageAdversary,
+    CommitteeLayout,
     exact_count_from_rate,
     hypergeometric_marginal_log_pmf,
     layout_from_split,
 )
 from shardrisk.probcore import kl_divergence
 from shardrisk.sizing import (
+    _log_binomial_tail_head,
     _log_tail_head,
     max_committees,
     min_committee_size,
@@ -215,6 +217,59 @@ class TestMinCommitteeSize:
     def test_rate_at_or_above_threshold_rejected(self, model, rate, target):
         with pytest.raises(ValueError, match="below threshold"):
             min_committee_size(2, target, THIRD, rate, model)
+
+
+def scan_average_committee_size(committees, delta_target, rate) -> tuple[int, int]:
+    """(first, stable) smallest n with K equal committees meeting the target
+    under the average model, deciding every n by the exact evaluator alone."""
+    feasible = functools.cache(lambda n: delta_exact_binomial(FailureQuery(
+        CommitteeLayout.from_runs(((n, committees),)), AverageAdversary(rate), THIRD)
+    ).delta <= delta_target)
+    first = next(n for n in range(1, 10**5) if feasible(n))
+    return first, next(n for n in range(first, 10**5) if feasible(n) and feasible(n + 1))
+
+
+class TestAverageModelHead:
+    # the average-model scan rules a layout out when the complement product of
+    # its runs' tail heads passes the target; no answer may change
+    @pytest.mark.parametrize("rate", [0.1, Fraction(1, 5), Fraction(1, 4)])
+    @pytest.mark.parametrize("delta_target", [1e-9, 1e-6, 1e-3, 1e-1])
+    def test_min_size_matches_headless_scan(self, delta_target, rate):
+        for k in (1, 2, 7, 100, 1000):
+            first, stable = scan_average_committee_size(k, delta_target, rate)
+            assert min_committee_size(k, delta_target, THIRD, rate) == stable, k
+            assert min_committee_size(k, delta_target, THIRD, rate,
+                                      require_stable=False) == first, k
+
+    @pytest.mark.parametrize("rate", [0.1, Fraction(1, 4)])
+    @pytest.mark.parametrize("delta_target", [1e-9, 1e-6, 1e-3, 1e-1, 0.5])
+    def test_max_committees_matches_headless_scan(self, delta_target, rate):
+        # N = 60 at target 0.5 and rate 1/4 is not monotone in K
+        for total in (60, 299, 1000):
+            oracle = scan_largest_committee_count(
+                total, lambda k: split_delta(total, k, THIRD, rate), delta_target)
+            assert max_committees(total, delta_target, THIRD, rate).committees == oracle, total
+
+    @pytest.mark.parametrize("rate", [Fraction(1, 10), Fraction(1, 4), Fraction(3, 10)])
+    def test_head_is_a_lower_bound_on_the_binomial_tail(self, rate):
+        for n in range(1, 60):
+            cap = n // 3
+            tail = sum(math.comb(n, j) * rate ** j * (1 - rate) ** (n - j)
+                       for j in range(cap + 1, n + 1))
+            log_tail = math.log(tail) if tail else -math.inf
+            head = _log_binomial_tail_head(cap, n, float(rate), math.inf)
+            assert head <= log_tail + 1e-12, n
+            if head > -math.inf:
+                assert head > log_tail - 1e-5, n
+            assert _log_binomial_tail_head(cap, n, float(rate), log_tail - 0.5) <= \
+                log_tail + 1e-12, n
+
+    def test_few_binomial_rows_at_ten_thousand_nodes(self):
+        # deciding each K by its CDF row builds one row per K, 269 here
+        _binomial_split_cached.cache_clear()
+        result = max_committees(10_000, 1e-6, THIRD, Fraction(1, 4))
+        assert result.committees == 12
+        assert _binomial_split_cached.cache_info().misses <= 50
 
 
 class TestSizeBracket:
