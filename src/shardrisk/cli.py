@@ -77,7 +77,6 @@ METHODS = {
     "union-hyper-exact": _Method("exact", lambda q: union_bound_hypergeometric(q)[0]),
     "union-hyper-hoeffding": _Method(
         "exact", lambda q: union_bound_hypergeometric(q)[1]),
-    "monte-carlo": _Method("average", None),
     "monte-carlo-average": _Method("average", None),
     "monte-carlo-exact": _Method("exact", None),
 }

@@ -13,6 +13,11 @@ higher.  This module evaluates the probability of that event
 * through union (Boole) bounds for all three sampling scenarios, including
   the Hoeffding form for the hypergeometric model.
 
+Every evaluator reads the layout's run table, ``CommitteeLayout.allowances``,
+of (size, multiplicity, allowed count).  The seven KL-type bounds are the
+rows of one table, ``_KL_BOUNDS``, of per-committee formulas and how they
+combine, and one walk over the run table, ``_kl_bound``, evaluates each.
+
 Bounds can exceed 1; they are clamped with a diagnostic flag instead of
 being rejected, so parameter sweeps never abort.  Preconditions of the
 KL-based bounds (rate < per-committee failure fraction < 1) degrade to a
@@ -41,7 +46,6 @@ from .probcore import (
     LOG_ZERO,
     RateLike,
     binomial_tail_and_cdf,
-    floor_rate_multiple,
     kl_divergence,
     log1mexp,
     log_binomial_coefficient,
@@ -127,21 +131,15 @@ def _result(method, raw_log_delta, log_survival=None, *, clamped=None,
     )
 
 
-def _average_groups(query: FailureQuery) -> list[tuple[int, float, int, int]]:
-    """(size, rate, allowed_count, multiplicity) per run of an average-model query.
-
-    The allowed count floor(A * size) is the largest non-failing count.
-    """
-    if not isinstance(query.adversary, AverageAdversary):
-        raise ValueError("this evaluator needs an AverageAdversary model")
-    rate = float(query.adversary.rate)
-    return [(size, rate, floor_rate_multiple(query.threshold, size), mult)
-            for size, mult in query.layout.runs]
-
-
 @lru_cache(maxsize=65536)
 def _binomial_split_cached(size: int, rate: float, cap: int) -> tuple[float, float]:
     return binomial_tail_and_cdf(size, rate, cap)
+
+
+def _require_average(query: FailureQuery) -> float:
+    if not isinstance(query.adversary, AverageAdversary):
+        raise ValueError("this evaluator needs an AverageAdversary model")
+    return float(query.adversary.rate)
 
 
 def _require_exact(query: FailureQuery) -> int:
@@ -157,9 +155,10 @@ def delta_exact_binomial(query: FailureQuery) -> DeltaResult:
     counts; survival and failure are each accumulated in their own log
     domain so neither loses precision to the other.
     """
+    rate = _require_average(query)
     log_survival = 0.0
     log_tails: list[tuple[float, int]] = []
-    for size, rate, cap, mult in _average_groups(query):
+    for size, mult, cap in query.layout.allowances(query.threshold):
         if cap >= size:
             continue  # committee can never fail at this threshold
         log_cdf, log_tail = _binomial_split_cached(size, rate, cap)
@@ -462,10 +461,8 @@ def delta_exact_hypergeometric(query: FailureQuery) -> DeltaResult:
     m = _require_exact(query)
     layout = query.layout
     n_total = layout.total
-    runs = []
-    for size, mult in layout.runs:
-        top = min(size, m)
-        runs.append((size, mult, top, min(floor_rate_multiple(query.threshold, size), top)))
+    runs = [(size, mult, min(size, m), min(cap, size, m))
+            for size, mult, cap in layout.allowances(query.threshold)]
     if all(cap == top for _, _, top, cap in runs):
         return _result("exact-hypergeometric", LOG_ZERO, 0.0, clamped=False)
     if m > sum(mult * cap for _, mult, _, cap in runs):
@@ -486,125 +483,88 @@ def delta_exact_hypergeometric(query: FailureQuery) -> DeltaResult:
 
 # ---------------------------------------------------------------------------
 # KL bounds: Chernoff-type sandwich and union (Boole) bounds
+#
+# In a row (union, log_term) of _KL_BOUNDS, log_term(n, p, q, D, N) is the log
+# of one committee's bound at size n, adversary rate p, failing fraction
+# q = (floor(A n) + 1) / n, D = D(q || p) and node total N.  Union terms are
+# summed; Theorem 1 terms are capped at 1 and combined by the stable
+# complement product.
 
 _PRECONDITION_WARNING = "bound precondition violated for some committee"
 
 
-def _kl_walk(groups):
-    """(weight, size, rate, q, D(q || rate)) per (size, rate, cap, weight) group.
+def _random_tight(n, p, q, d, total):
+    x = n / total * math.expm1(-d)  # -1 only at one committee, D > 37: the term is -N D
+    return total * math.log1p(x) if x > -1.0 else -total * d
 
-    q = (cap + 1) / size is the failing fraction.  D is None where the
-    precondition rate < q < 1 fails (the bound degrades to 1); groups that
-    can never fail (tail exactly 0) are skipped.
-    """
-    for size, rate, cap, weight in groups:
+
+_KL_BOUNDS = {
+    # Theorem 1 sandwich on the exact product-binomial failure probability:
+    #   lower bound      exp(-n D) / sqrt(8 n q (1 - q))
+    "theorem1-lower": (False, lambda n, p, q, d, total:
+                       -n * d - 0.5 * math.log(8.0 * n * q * (1.0 - q))),
+    #   Ash upper        exp(-n D)
+    "theorem1-upper-ash": (False, lambda n, p, q, d, total: -n * d),
+    #   Ferrante upper   exp(-n D) / ((1 - r) sqrt(2 pi q (1 - q) n)),
+    #                    r = p (1 - q) / (q (1 - p))
+    "theorem1-upper-ferrante": (False, lambda n, p, q, d, total:
+                                -n * d - math.log1p(-p * (1.0 - q) / (q * (1.0 - p)))
+                                - 0.5 * math.log(2.0 * math.pi * q * (1.0 - q) * n)),
+    # union bound for fixed sizes: sum_mu exp(-n_mu D(q_mu || p))
+    "union-fixed": (True, lambda n, p, q, d, total: -n * d),
+    # fully random partition, a node in committee mu with probability
+    # P(mu) = n_mu / N, so the layout's sizes are the expected sizes:
+    #   tight   sum_mu (P(mu) exp(-D) + 1 - P(mu))^N
+    "union-random": (True, _random_tight),
+    #   simple  sum_mu exp(-N P(mu) (1 - exp(-D))), never below the tight form
+    "union-random-simple": (True, lambda n, p, q, d, total:
+                            total * (n / total) * math.expm1(-d)),
+    # Hoeffding form under exactly-M: union-fixed at the global rate p = M/N
+    "union-hyper-hoeffding": (True, lambda n, p, q, d, total: -n * d),
+}
+
+
+def _kl_bound(method: str, query: FailureQuery, rate: float, warning: str) -> DeltaResult:
+    """The ``_KL_BOUNDS`` bound ``method`` at adversary rate p = ``rate``.  A run violating
+    p < q < 1 gets the trivial bound 1, clears ``precondition_ok`` and adds ``warning``."""
+    union, log_term = _KL_BOUNDS[method]
+    n_total = query.layout.total
+    terms = []
+    precondition_ok = True
+    for size, mult, cap in query.layout.allowances(query.threshold):
         if cap >= size:
             continue
         q = (cap + 1) / size
-        yield weight, size, rate, q, kl_divergence(q, rate) if rate < q < 1.0 else None
+        if rate < q < 1.0:
+            log_bound = log_term(size, rate, q, kl_divergence(q, rate), n_total)
+        else:
+            precondition_ok = False
+            log_bound = 0.0  # log 1
+        terms.append(math.log(mult) + log_bound if union else (min(log_bound, 0.0), mult))
+    raw = log_sum_exp(terms) if union else stable_complement_product(terms)
+    return _result(method, raw, precondition_ok=precondition_ok,
+                   warnings=() if precondition_ok else (warning,))
 
 
 def theorem1_bounds(query: FailureQuery) -> tuple[DeltaResult, DeltaResult, DeltaResult]:
-    """Sandwich bounds on the exact product-binomial failure probability.
-
-    Returns (lower, upper_ash, upper_ferrante).  Per committee, the tail
-    P(X >= floor(A n) + 1) of Binomial(n, p) is bounded through the KL
-    divergence D(q || p) at q = (floor(A n) + 1) / n:
-
-      lower bound      exp(-n D) / sqrt(8 n q (1 - q))
-      Ash upper        exp(-n D)
-      Ferrante upper   exp(-n D) / ((1 - r) sqrt(2 pi q (1 - q) n)),
-                       r = p (1 - q) / (q (1 - p))
-
-    each clamped to at most 1, then combined through the stable complement
-    product.  Committees violating p < q < 1 contribute the trivial bound 1
-    and clear the precondition flag; committees whose failure count exceeds
-    their size never fail and contribute 0 exactly.
-    """
-    lower_terms: list[tuple[float, int]] = []
-    ash_terms: list[tuple[float, int]] = []
-    ferrante_terms: list[tuple[float, int]] = []
-    precondition_ok = True
-    for mult, size, rate, q, div in _kl_walk(_average_groups(query)):
-        if div is None:
-            precondition_ok = False
-            log_lower = log_ash = log_ferrante = 0.0  # log 1
-        else:
-            log_ash = -size * div
-            log_lower = log_ash - 0.5 * math.log(8.0 * size * q * (1.0 - q))
-            r = rate * (1.0 - q) / (q * (1.0 - rate))
-            log_ferrante = (
-                log_ash
-                - math.log1p(-r)
-                - 0.5 * math.log(2.0 * math.pi * q * (1.0 - q) * size)
-            )
-        lower_terms.append((min(log_lower, 0.0), mult))
-        ash_terms.append((min(log_ash, 0.0), mult))
-        ferrante_terms.append((min(log_ferrante, 0.0), mult))
-    warnings = () if precondition_ok else (_PRECONDITION_WARNING,)
-    return tuple(
-        _result(method, stable_complement_product(terms),
-                precondition_ok=precondition_ok, warnings=warnings)
-        for method, terms in (("theorem1-lower", lower_terms),
-                              ("theorem1-upper-ash", ash_terms),
-                              ("theorem1-upper-ferrante", ferrante_terms))
-    )
-
-
-def _union_kl(method: str, groups, warning: str) -> DeltaResult:
-    """Union bound sum_mu exp(-n_mu D(q_mu || p_mu)) over (size, rate, cap, mult)
-    groups; a committee violating p < q < 1 adds the trivial bound 1."""
-    terms = []
-    precondition_ok = True
-    for mult, size, _, _, div in _kl_walk(groups):
-        if div is None:
-            precondition_ok = False
-            div = 0.0  # mult committees, trivial bound 1 each
-        terms.append(math.log(mult) - size * div)
-    return _result(method, log_sum_exp(np.array(terms)),
-                   precondition_ok=precondition_ok,
-                   warnings=() if precondition_ok else (warning,))
+    """Sandwich bounds (lower, upper_ash, upper_ferrante) on the exact
+    product-binomial failure probability; see ``_KL_BOUNDS``."""
+    rate = _require_average(query)
+    return tuple(_kl_bound(method, query, rate, _PRECONDITION_WARNING) for method in (
+        "theorem1-lower", "theorem1-upper-ash", "theorem1-upper-ferrante"))
 
 
 def union_bound_fixed_sizes(query: FailureQuery) -> DeltaResult:
     """Union bound sum_mu exp(-n_mu D(q_mu || p_mu)) for fixed sizes."""
-    return _union_kl("union-fixed", _average_groups(query), _PRECONDITION_WARNING)
+    return _kl_bound("union-fixed", query, _require_average(query), _PRECONDITION_WARNING)
 
 
 def union_bound_random_sizes(query: FailureQuery) -> tuple[DeltaResult, DeltaResult]:
-    """Union bounds for the fully random partition (sizes not conditioned on).
-
-    Each node joins committee mu with probability P(mu) = n_mu / N, the
-    share of the query's layout, so the layout's sizes are the expected
-    sizes, at which the failing fraction q is evaluated.  Returns the pair
-    (tight form, simpler form):
-
-      tight   sum_mu (P(mu) exp(-D(q || p)) + 1 - P(mu))^N
-      simple  sum_mu exp(-N P(mu) (1 - exp(-D(q || p))))
-
-    A run of m committees of one size adds one term, m times the
-    committee's.  The simple form is never below the tight one
-    (log x <= x - 1).
-    """
-    n_total = query.layout.total
-    tight_terms = []
-    simple_terms = []
-    precondition_ok = True
-    for mult, size, _, _, div in _kl_walk(_average_groups(query)):
-        if div is None:
-            precondition_ok = False
-        # exp(-D) - 1, in (-1, 0]; 0 gives the trivial bound 1 per committee
-        decay = 0.0 if div is None else math.expm1(-div)
-        prob = size / n_total
-        tight_terms.append(math.log(mult) + n_total * math.log1p(prob * decay))
-        simple_terms.append(math.log(mult) + n_total * prob * decay)
-    warnings = () if precondition_ok else (_PRECONDITION_WARNING,)
-    return tuple(
-        _result(method, log_sum_exp(np.array(terms)),
-                precondition_ok=precondition_ok, warnings=warnings)
-        for method, terms in (("union-random", tight_terms),
-                              ("union-random-simple", simple_terms))
-    )
+    """Union bounds (tight form, simpler form) for the fully random partition,
+    sizes not conditioned on; see ``_KL_BOUNDS``."""
+    rate = _require_average(query)
+    return tuple(_kl_bound(method, query, rate, _PRECONDITION_WARNING)
+                 for method in ("union-random", "union-random-simple"))
 
 
 def _marginal_log_tail(size: int, total: int, m: int, cap: int) -> float:
@@ -626,22 +586,19 @@ def _marginal_log_tail(size: int, total: int, m: int, cap: int) -> float:
 
 
 def union_bound_hypergeometric(query: FailureQuery) -> tuple[DeltaResult, DeltaResult]:
-    """Union bounds under the exactly-M model.
+    """Union bounds under the exactly-M model: (exact tail sum, Hoeffding form).
 
-    Returns (exact tail sum, Hoeffding form).  The first sums the exact
-    per-committee marginal tails; the second is the fixed-size union bound
-    at the global rate M/N, replacing each tail by exp(-n D(q || M/N)),
-    valid when M/N < q < 1.
+    The first sums the exact per-committee marginal tails; the second is the
+    ``union-hyper-hoeffding`` row of ``_KL_BOUNDS``.
     """
     m = _require_exact(query)
     n_total = query.layout.total
-    groups = [(size, m / n_total, floor_rate_multiple(query.threshold, size), mult)
-              for size, mult in query.layout.runs]
     exact_terms = [
-        math.log(mult) + log_tail for size, _, cap, mult in groups
+        math.log(mult) + log_tail
+        for size, mult, cap in query.layout.allowances(query.threshold)
         if (log_tail := _marginal_log_tail(size, n_total, m, cap)) > LOG_ZERO
     ]
     exact = _result("union-hyper-exact", log_sum_exp(np.array(exact_terms)))
-    hoeffding = _union_kl("union-hyper-hoeffding", groups,
+    hoeffding = _kl_bound("union-hyper-hoeffding", query, m / n_total,
                           "Hoeffding precondition violated for some committee")
     return exact, hoeffding

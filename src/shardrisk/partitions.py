@@ -21,6 +21,7 @@ import numpy as np
 from .probcore import (
     LOG_ZERO,
     RateLike,
+    floor_rate_multiple,
     rate_as_float,
 )
 
@@ -86,6 +87,17 @@ class CommitteeLayout:
     @property
     def committee_count(self) -> int:
         return sum(mult for _, mult in self.runs)
+
+    def allowances(self, threshold: RateLike) -> list[tuple[int, int, int]]:
+        """The run table: (size, multiplicity, floor(threshold * size)) per run.
+
+        The allowed count is the largest a committee holds without failing.
+        It is not clamped; one at or above the size means it never fails.
+        """
+        table = []  # a loop: a comprehension's own frame costs more over a few runs
+        for size, mult in self.runs:
+            table.append((size, mult, floor_rate_multiple(threshold, size)))
+        return table
 
 
 def layout_from_split(total_nodes: int, committees: int) -> CommitteeLayout:

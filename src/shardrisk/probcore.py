@@ -60,7 +60,8 @@ def floor_rate_multiple(rate: RateLike, n: int) -> int:
     Fraction.
     """
     if isinstance(rate, Fraction):
-        return (rate.numerator * n) // rate.denominator
+        num, den = rate.as_integer_ratio()  # one call, not two property reads
+        return num * n // den
     return math.floor(float(rate) * n)
 
 

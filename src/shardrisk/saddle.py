@@ -83,12 +83,6 @@ class SaddleSolution:
     converged: bool
 
 
-def _caps(layout: CommitteeLayout, threshold: RateLike) -> list[tuple[int, int, int]]:
-    """(size, multiplicity, allowed count) per run."""
-    return [(size, mult, min(floor_rate_multiple(threshold, size), size))
-            for size, mult in layout.runs]
-
-
 def _log_mass(part, size: int, u: float) -> float:
     """ln P(Binomial(size, Q) <= cap) from the part of the e^(u j) weights."""
     return part.log_mass - size * math.log1p(math.exp(u))
@@ -135,8 +129,8 @@ def solve_saddle(
         raise ValueError(f"adversary_rate must lie strictly inside (0, 1), got {p!r}")
     a = rate_as_float(threshold, "threshold")
     n_total = layout.total
-    runs = _caps(layout, threshold)
-    if all(cap == size for size, _, cap in runs):
+    runs = layout.allowances(threshold)
+    if all(cap >= size for size, _, cap in runs):
         return SaddleSolution(tilt=p, psi=0.0, variance_sum=n_total * p * (1.0 - p),
                               mean_residual=0.0, converged=True)
     if p >= a:
@@ -186,7 +180,7 @@ def delta_asymptotic(
     p = m / n_total
     if a >= 1.0:
         return _result("asymptotic", LOG_ZERO, 0.0, clamped=False)
-    runs = _caps(layout, threshold)
+    runs = layout.allowances(threshold)
     if m == sum(mult * cap for _, mult, cap in runs):
         log_survival = min(sum(mult * log_binomial_coefficient(size, cap)
                                for size, mult, cap in runs)

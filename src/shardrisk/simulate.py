@@ -7,7 +7,8 @@ bit-identical failure counts to a run with 1.  Failure counting is an
 order-independent integer sum over chunks.  ``estimate_delta`` tests the
 adversary model once and binds that model's chunk kernel to its data for
 the whole estimate: ``_average_failures`` with the per-group survival
-probabilities or ``_exact_failures`` with one cap per run of the layout.
+probabilities or ``_exact_failures`` with the layout's run table of
+(size, multiplicity, allowed count), ``CommitteeLayout.allowances``.
 
 Only whether a committee exceeds its cap is counted, never its count.  The
 average model's committees are independent, so a run of m committees of
@@ -28,7 +29,7 @@ O(BLOCK_BYTES) of them at any group count, and the blocks concatenate to
 the draws of a single call.
 
 The exactly-M model walks the committees in layout order over all samples
-of a chunk at once, run by run, with one cap per run.  Each sample keeps
+of a chunk at once, one row of the run table at a time.  Each sample keeps
 only its number of adversaries still unplaced; committee i draws its count
 from the hypergeometric law of its size among the nodes still unplaced,
 and the last committee takes the remainder.  The urn is exchangeable, so
@@ -47,9 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .failure import FailureQuery, _average_groups, _binomial_split_cached
+from .failure import FailureQuery, _binomial_split_cached, _require_average
 from .partitions import AverageAdversary, ExactAdversary
-from .probcore import floor_rate_multiple
 
 __all__ = [
     "DeltaEstimate",
@@ -100,17 +100,15 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def _group_survival(query: FailureQuery) -> np.ndarray:
-    """Survival probability per run of equal committees, average model.
-
-    A run of m committees of equal size survives with probability
-    c^m, c = P(Bin(size, rate) <= cap): the exponential of the group's own
-    term in ``delta_exact_binomial``'s log survival.  +inf where the cap
-    reaches the committee size, so that group draws its uniform but never
-    fails.
+    """Survival probability c^m, c = P(Bin(size, rate) <= cap), per row of
+    the run table, average model: the exponential of the row's term in
+    ``delta_exact_binomial``'s log survival.  +inf where the cap reaches the
+    size, so that group draws its uniform but never fails.
     """
+    rate = _require_average(query)
     return np.array([math.inf if cap >= size else
                      math.exp(mult * _binomial_split_cached(size, rate, cap)[0])
-                     for size, rate, cap, mult in _average_groups(query)])
+                     for size, mult, cap in query.layout.allowances(query.threshold)])
 
 
 def _average_failures(rng: np.random.Generator, count: int,
@@ -129,17 +127,17 @@ def _average_failures(rng: np.random.Generator, count: int,
 
 
 def _exact_failures(rng: np.random.Generator, query: FailureQuery, count: int,
-                    caps: list[int]) -> int:
+                    allowances: list[tuple[int, int, int]]) -> int:
     """Failed samples among ``count`` exactly-M partitions.
 
     Sequential conditional draws, one committee at a time over the live
-    samples, with one cap per run of the layout; a sample leaves at its
-    first committee over its cap.
+    samples, walking the run table ``allowances`` of (size, multiplicity,
+    allowed count); a sample leaves at its first committee over its cap.
     """
     unplaced_nodes = query.layout.total
     unplaced = np.full(count, query.adversary.count, dtype=np.int64)
     failures = 0
-    for (size, mult), cap in zip(query.layout.runs, caps):
+    for size, mult, cap in allowances:
         for _ in range(mult):
             # the last committee, the only one holding every unplaced node,
             # takes the remainder
@@ -178,8 +176,8 @@ def estimate_delta(plan: SimulationPlan) -> DeltaEstimate:
     if isinstance(query.adversary, AverageAdversary):
         kernel = functools.partial(_average_failures, survival=_group_survival(query))
     elif isinstance(query.adversary, ExactAdversary):
-        caps = [floor_rate_multiple(query.threshold, size) for size, _ in query.layout.runs]
-        kernel = functools.partial(_exact_failures, query=query, caps=caps)
+        kernel = functools.partial(_exact_failures, query=query,
+                                   allowances=query.layout.allowances(query.threshold))
     else:
         raise ValueError(f"unsupported adversary model {query.adversary!r}")
 

@@ -37,7 +37,6 @@ from .partitions import (
 from .probcore import (
     LOG_ZERO,
     RateLike,
-    floor_rate_multiple,
     kl_divergence,
     log_sum_exp,
     rate_as_float,
@@ -169,9 +168,8 @@ def _feasibility(model: str, threshold, rate,
             # covers the rounding of the log pmf terms, of 64 ratio steps and of log_target
             margin = 16 * math.ulp(math.lgamma(top + 1) + top * log_scale) + 2.0 ** -40
             goal = margin - _log_per_committee_budget(target, layout.committee_count)
-            heads = [(_log_binomial_tail_head(floor_rate_multiple(threshold, size), size,
-                                              p, goal), mult)
-                     for size, mult in layout.runs]
+            heads = [(_log_binomial_tail_head(cap, size, p, goal), mult)
+                     for size, mult, cap in layout.allowances(threshold)]
             if stable_complement_product(heads) > log_target + margin:
                 return False
             return _delta(layout, model, threshold, rate) <= target
@@ -185,8 +183,7 @@ def _feasibility(model: str, threshold, rate,
         m = exact_count_from_rate(total, rate)
         # covers the rounding of the log-gamma terms and of 64 ratio steps
         margin = 16 * math.ulp(math.lgamma(total + 1)) + 2.0 ** -45
-        runs = [(size, mult, floor_rate_multiple(threshold, size))
-                for size, mult in layout.runs]
+        runs = layout.allowances(threshold)
         # a tail past this puts the lower end over the target if all K have it
         goal = margin - _log_per_committee_budget(target, layout.committee_count)
         if all(_log_tail_head(cap, size, total, m, goal) > goal for size, _, cap in runs):
@@ -278,6 +275,7 @@ def min_committee_size(
                                require_stable=require_stable)
 
 
+@functools.lru_cache(maxsize=1024)
 def _log_per_committee_budget(delta_target: float, committees: int) -> float:
     """-log(1 - (1 - delta)^(1/K)), evaluated through log1p/expm1."""
     inner = -math.expm1(math.log1p(-delta_target) / committees)

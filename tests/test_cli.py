@@ -12,9 +12,15 @@ from pathlib import Path
 import pytest
 
 from oracles import exact_m_failure_survival, scan_largest_committee_count
-from shardrisk import cli
+from shardrisk import cli, failure
 from shardrisk.cli import main
-from shardrisk.partitions import layout_from_split
+from shardrisk.failure import FailureQuery
+from shardrisk.partitions import (
+    AverageAdversary,
+    CommitteeLayout,
+    ExactAdversary,
+    layout_from_split,
+)
 
 
 def run_cli(capsys, *argv):
@@ -189,6 +195,30 @@ class TestBoundsCommand:
         methods = [r["method"] for r in parse_csv(out)]
         assert methods == ["union-hyper-exact", "union-hyper-hoeffding"]
 
+    def test_random_sizes_one_committee_without_adversaries(self, capsys):
+        # N = 10 in one committee at P = 0: the tight form is 0, the simple
+        # form e^-N
+        code, out, err = run_cli(capsys, "bounds", "--layout", "10",
+                                 "--adversary-frac", "0", "--threshold", "1/3")
+        assert code == 0 and err == ""
+        rows = {r["method"]: r for r in parse_csv(out)}
+        assert float(rows["union-random"]["delta"]) == 0.0
+        assert float(rows["union-random-simple"]["log_delta"]) == -10.0
+        assert float(rows["union-random-simple"]["delta"]) == math.exp(-10)
+
+    def test_random_sizes_sweep_from_one_committee(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--mode", "sweep-k", "--nodes", "12", "--k-range", "1:2",
+            "--threshold", "1/3", "--adversary-frac", "0",
+            "--methods", "union-random,union-random-simple")
+        assert code == 0
+        first = parse_csv(out)[0]
+        assert first["K"] == "1"
+        assert first["union-random_flags"] == first["union-random-simple_flags"] == ""
+        assert float(first["union-random"]) == 0.0
+        assert float(first["union-random-simple"]) == math.exp(-12)
+        assert first["union-random-simple"] == "6.14421235332821e-06"
+
 
 class TestAsymptoticCommand:
     def test_runs_from_fraction(self, capsys):
@@ -359,7 +389,7 @@ class TestSweepCommand:
     BASE = [
         "sweep", "--mode", "sweep-k", "--nodes", "100", "--k-range", "2:10",
         "--threshold", "1/3", "--adversary-frac", "1/4",
-        "--methods", "exact-binomial,exact-hypergeometric,union-fixed,monte-carlo",
+        "--methods", "exact-binomial,exact-hypergeometric,union-fixed,monte-carlo-average",
         "--samples", "2000", "--seed", "11",
     ]
 
@@ -371,7 +401,7 @@ class TestSweepCommand:
         first = rows[0]
         assert first["n"] == "50" and first["r"] == "0"
         assert 0.0 <= float(first["exact-binomial"]) <= 1.0
-        assert first["monte-carlo_se"] != ""
+        assert first["monte-carlo-average_se"] != ""
 
     def test_byte_identical_repeats(self, capsys):
         _, out1, _ = run_cli(capsys, *self.BASE)
@@ -427,12 +457,12 @@ class TestSweepCommand:
         ({"schema": 1, "mode": "sweep-k", "nodes": 100, "k_range": [2, 10],
           "threshold": "1/3", "adversary_frac": "1/4",
           "methods": ["exact-binomial", "exact-hypergeometric", "union-fixed",
-                      "monte-carlo"],
+                      "monte-carlo-average"],
           "samples": 2000, "seed": 11}, BASE),
         # a numeric string reads as the flag's text would
         ({"schema": 1, "mode": "sweep-k", "nodes": "100", "k_range": [2, 10],
           "threshold": "1/3", "adversary_frac": 0.25,
-          "methods": "exact-binomial,exact-hypergeometric,union-fixed,monte-carlo",
+          "methods": "exact-binomial,exact-hypergeometric,union-fixed,monte-carlo-average",
           "samples": 2000, "seed": "11"}, BASE),
         ({"schema": 1, "mode": "sweep-n", "k_range": [2, 8, 3], "delta_target": 0.01,
           "threshold": "1/3", "adversary_frac": "1/4",
@@ -609,7 +639,11 @@ class TestMonteCarloSweepDeterminism:
 # asymptotic cells of delta-split, delta-layout, delta-json, asymptotic and
 # sweep-k were re-recorded when the tilt solve became a Newton search: they
 # moved by at most 1.1e-12 in delta, 8.2e-12 relative in log delta and
-# 2.7e-12 relative in log survival.
+# 2.7e-12 relative in log survival.  Two entries were recorded before every
+# evaluator read one run table and the KL bounds one table of formulas:
+# bounds-float-rates pins float rates and equal sizes that are not
+# neighbours, and delta-caps-at-size every analytic tag with each allowed
+# count at its committee size.
 _GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 
 
@@ -623,8 +657,23 @@ def test_registry_output_unchanged(capsys, name):
 def test_registry_covers_every_tag():
     analytic = {tag for tag, method in cli.METHODS.items() if method.evaluate}
     assert analytic == set(_GOLDEN["delta-split"]["argv"][-1].split(","))
-    assert set(cli.METHODS) - analytic == {
-        "monte-carlo", "monte-carlo-average", "monte-carlo-exact"}
+    assert set(cli.METHODS) - analytic == {"monte-carlo-average", "monte-carlo-exact"}
+
+
+def test_kl_tags_are_the_bound_table():
+    # every analytic tag but these four is a KL bound, one row of _KL_BOUNDS,
+    # and its evaluator returns that row
+    analytic = {tag for tag, method in cli.METHODS.items() if method.evaluate}
+    kl_tags = analytic - {"exact-binomial", "exact-hypergeometric", "asymptotic",
+                          "union-hyper-exact"}
+    assert kl_tags == set(failure._KL_BOUNDS)
+    layout = CommitteeLayout((12, 10, 12, 11))
+    adversaries = {"average": AverageAdversary(Fraction(1, 4)),
+                   "exact": ExactAdversary(11)}
+    for tag in kl_tags:
+        method = cli.METHODS[tag]
+        query = FailureQuery(layout, adversaries[method.model], Fraction(1, 3))
+        assert method.evaluate(query).method == tag
 
 
 def test_traced_names_resolve():

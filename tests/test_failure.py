@@ -273,6 +273,24 @@ class TestUnionBounds:
             math.exp(-100 * kl_divergence(q, 0.25)), rel=1e-12
         )
 
+    @pytest.mark.parametrize("size", [10, 12])
+    def test_random_sizes_single_committee_without_adversaries(self, size):
+        # P(mu) = 1 and D = inf: the tight base P exp(-D) + 1 - P is 0, so the
+        # bound is 0; the simple form is exp(-N (1 - exp(-D))) = e^-N
+        tight, simple = union_bound_random_sizes(avg_query((size,), 0.0))
+        assert tight.delta == 0.0 and tight.log_delta == LOG_ZERO
+        assert simple.log_delta == -size
+        assert simple.delta == math.exp(-size)
+        assert tight.precondition_ok and simple.precondition_ok
+
+    def test_random_sizes_single_committee_past_unit_rounding(self):
+        # exp(-D) below half an ulp of 1: the tight form is still exp(-N D)
+        query = avg_query((10,), 1e-50)
+        div = kl_divergence(0.4, 1e-50)
+        assert div > 40.0
+        tight, _ = union_bound_random_sizes(query)
+        assert tight.log_delta == -10 * div
+
     def test_random_sizes_simple_form_is_looser(self):
         rng = np.random.default_rng(3)
         for _ in range(50):

@@ -44,6 +44,18 @@ THIRD = Fraction(1, 3)
 HALF = Fraction(1, 2)
 
 
+@pytest.mark.parametrize("threshold, caps", [
+    (THIRD, [1, 2, 4, 2]),
+    (0.34, [1, 2, 4, 2]),
+    (Fraction(1), [3, 7, 12, 7]),  # unclamped: at the size, never failing
+])
+def test_allowances_are_the_run_table(threshold, caps):
+    layout = CommitteeLayout((3, 3, 7, 12, 7, 7))
+    assert layout.allowances(threshold) == [
+        (size, mult, cap) for (size, mult), cap in zip(layout.runs, caps)]
+    assert [mult for _, mult, _ in layout.allowances(threshold)] == [2, 1, 1, 2]
+
+
 class TestNoCommitteeSequence:
     @pytest.fixture(autouse=True)
     def forbid_expansion(self, monkeypatch):

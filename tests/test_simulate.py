@@ -10,7 +10,6 @@ from shardrisk import simulate
 from shardrisk.cli import main
 from shardrisk.failure import (
     FailureQuery,
-    _average_groups,
     delta_exact_binomial,
     delta_exact_hypergeometric,
 )
@@ -259,7 +258,7 @@ def _query(sizes, rate, threshold):
 
 
 def _multiplicities(query):
-    return [mult for *_, mult in _average_groups(query)]
+    return [mult for _, mult in query.layout.runs]
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -450,10 +449,10 @@ def test_exact_committee_counts_match_marginal_law(seed):
     first = 0
     for index, (size, mult) in enumerate(layout.runs):
         for cap in range(size):
-            caps = [s for s, _ in layout.runs]
-            caps[index] = cap
+            table = [(s, k, s) for s, k in layout.runs]
+            table[index] = (size, mult, cap)
             failures = _exact_failures(_chunk_rng(seed, index * 100 + cap), query,
-                                       samples, caps)
+                                       samples, table)
             tail = _run_tail(sizes, m, first, mult, cap)
             if tail in (0.0, 1.0):
                 assert failures == tail * samples, (index, cap)
@@ -495,9 +494,9 @@ def _per_committee_walk(rng, sizes, m, caps, count):
 def test_run_walk_draws_the_per_committee_walk(sizes, threshold, m):
     # the same hypergeometric calls in the same order, so the same counts
     query = FailureQuery(CommitteeLayout(sizes), ExactAdversary(m), threshold)
-    caps = [floor_rate_multiple(threshold, size) for size, _ in query.layout.runs]
     per_committee = [floor_rate_multiple(threshold, size) for size in sizes]
     for chunk in range(2):
-        got = _exact_failures(_chunk_rng(5, chunk), query, 1000, caps)
+        got = _exact_failures(_chunk_rng(5, chunk), query, 1000,
+                              query.layout.allowances(threshold))
         want = _per_committee_walk(_chunk_rng(5, chunk), sizes, m, per_committee, 1000)
         assert got == want
