@@ -17,28 +17,14 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
-from .failure import (
-    DeltaResult,
-    FailureQuery,
-    delta_exact_binomial,
-    delta_exact_hypergeometric,
-    theorem1_bounds,
-    union_bound_fixed_sizes,
-    union_bound_hypergeometric,
-    union_bound_random_sizes,
-)
-from .partitions import (
-    AverageAdversary,
-    CommitteeLayout,
-    ExactAdversary,
-    exact_count_from_rate,
-    layout_from_split,
-)
-from .saddle import delta_asymptotic
+from .failure import DeltaResult
+from .methods import METHODS, method_query
+from .partitions import CommitteeLayout, layout_from_split
 from .simulate import DeltaEstimate, SimulationPlan, estimate_delta
 from .sizing import (
+    _feasibility,
     max_committees,
     min_committee_size,
     scan_committee_size,
@@ -51,35 +37,6 @@ _DELTA_COLUMNS = [
     "method", "delta", "log_delta", "log_survival", "raw_log_delta",
     "clamped", "precondition_ok", "warnings",
 ]
-
-
-class _Method(NamedTuple):
-    model: str  # "average": nodes adversarial at rate P; "exact": exactly M
-    # FailureQuery -> DeltaResult, None for Monte Carlo.  Evaluators are
-    # looked up by module-global name at call time, so rebinding a name
-    # (as instrumentation does) reaches every caller.
-    evaluate: Callable[[FailureQuery], DeltaResult] | None
-
-
-# every method tag: delta takes the analytic ones, sweep-k all of them and
-# sweep-n the analytic ones plus "bracket"
-METHODS = {
-    "exact-binomial": _Method("average", lambda q: delta_exact_binomial(q)),
-    "theorem1-lower": _Method("average", lambda q: theorem1_bounds(q)[0]),
-    "theorem1-upper-ash": _Method("average", lambda q: theorem1_bounds(q)[1]),
-    "theorem1-upper-ferrante": _Method("average", lambda q: theorem1_bounds(q)[2]),
-    "union-fixed": _Method("average", lambda q: union_bound_fixed_sizes(q)),
-    "union-random": _Method("average", lambda q: union_bound_random_sizes(q)[0]),
-    "union-random-simple": _Method("average", lambda q: union_bound_random_sizes(q)[1]),
-    "exact-hypergeometric": _Method("exact", lambda q: delta_exact_hypergeometric(q)),
-    "asymptotic": _Method("exact", lambda q: delta_asymptotic(
-        q.layout, q.adversary.count, q.threshold)),
-    "union-hyper-exact": _Method("exact", lambda q: union_bound_hypergeometric(q)[0]),
-    "union-hyper-hoeffding": _Method(
-        "exact", lambda q: union_bound_hypergeometric(q)[1]),
-    "monte-carlo-average": _Method("average", None),
-    "monte-carlo-exact": _Method("exact", None),
-}
 
 
 def _parse_rate(text: str) -> Fraction | float:
@@ -214,29 +171,19 @@ def _layout_from_args(args, parser) -> CommitteeLayout:
     return layout_from_split(args.nodes, args.committees)
 
 
-def _query(model: str, layout: CommitteeLayout, args, parser,
-           count: int | None = None) -> FailureQuery:
-    """The query of one method on a layout: nodes adversarial at rate P, or
-    exactly M adversaries, M given or round(N P)."""
+def _evaluate(tag: str, layout: CommitteeLayout, args, parser,
+              count: int | None = None) -> DeltaResult | DeltaEstimate:
+    """One method tag on a layout at the rate, count and threshold of ``args``:
+    its evaluator, or Monte Carlo with the samples, seed and workers of ``args``."""
+    method = METHODS[tag]
     frac = args.adversary_frac
-    if frac is None and model == "average":
+    if frac is None and method.model == "average":
         parser.error("this method needs --adversary-frac")
     if frac is None and count is None:
         parser.error("this method needs --adversary-count or --adversary-frac")
-    if model == "average":
-        adversary = AverageAdversary(frac)
-    else:
-        adversary = ExactAdversary(
-            exact_count_from_rate(layout.total, frac) if count is None else count)
-    return FailureQuery(layout, adversary, args.threshold)
-
-
-def _evaluate(tag: str, query: FailureQuery, args) -> DeltaResult | DeltaEstimate:
-    """One method tag on one query: its analytic evaluator, or a Monte Carlo
-    estimate with the samples, seed and workers of ``args``."""
-    evaluate = METHODS[tag].evaluate
-    if evaluate is not None:
-        return evaluate(query)
+    query = method_query(method.model, layout, args.threshold, frac, count)
+    if method.evaluate is not None:
+        return method.evaluate(query)
     return estimate_delta(SimulationPlan(query=query, samples=args.samples,
                                          seed=args.seed, workers=args.workers))
 
@@ -249,8 +196,7 @@ def _delta_rows(tags, layout: CommitteeLayout, args, parser):
             parser.error(f"unknown method {tag!r}")
         if METHODS[tag].evaluate is None:
             parser.error("use the simulate subcommand for Monte Carlo estimates")
-        query = _query(METHODS[tag].model, layout, args, parser, args.adversary_count)
-        result = _evaluate(tag, query, args)
+        result = _evaluate(tag, layout, args, parser, args.adversary_count)
         rows.append({**vars(result), "warnings": ";".join(result.warnings)})
     return rows, _DELTA_COLUMNS
 
@@ -303,9 +249,8 @@ def _cmd_size(args, parser):
 
 def _cmd_simulate(args, parser):
     model = "average" if args.adversary_count is None else "exact"
-    query = _query(model, _layout_from_args(args, parser), args, parser,
-                   args.adversary_count)
-    estimate = _evaluate(f"monte-carlo-{model}", query, args)
+    estimate = _evaluate(f"monte-carlo-{model}", _layout_from_args(args, parser), args,
+                         parser, args.adversary_count)
     row = {
         "delta_hat": estimate.delta_hat,
         "std_error": estimate.std_error,
@@ -388,7 +333,7 @@ def _fill_cell(row: dict, names: list[str], compute: Callable[[], tuple]) -> Non
 
 def _sweep_k_cell(tag, layout: CommitteeLayout, args, parser) -> tuple:
     """delta of one method tag on one layout, as _cell_columns lists it."""
-    result = _evaluate(tag, _query(METHODS[tag].model, layout, args, parser), args)
+    result = _evaluate(tag, layout, args, parser)
     if isinstance(result, DeltaEstimate):
         return result.delta_hat, result.std_error, ""
     flags = (("clamped", result.clamped), ("precond", not result.precondition_ok))
@@ -401,27 +346,9 @@ def _sweep_n_cell(tag, k: int, args, parser) -> tuple:
     if tag == "bracket":
         bracket = size_bracket(k, args.delta, args.threshold, args.adversary_frac)
         return bracket.lower, bracket.upper, ""
-    model = METHODS[tag].model
-    if tag in ("exact-binomial", "exact-hypergeometric"):
-        return min_committee_size(k, args.delta, args.threshold,
-                                  args.adversary_frac, model), ""
-
-    def delta_at(n: int) -> float:
-        layout = CommitteeLayout.from_runs(((n, k),))
-        query = _query(model, layout, args, parser)
-        if tag == "asymptotic":
-            count = query.adversary.count
-            if count in (0, layout.total):
-                return 0.0 if count == 0 else 1.0
-            try:
-                return _evaluate(tag, query, args).delta
-            except ValueError:
-                # no tilt: the allowance cannot host the adversary mass,
-                # so such a small size is simply infeasible
-                return 1.0
-        return _evaluate(tag, query, args).delta
-
-    return scan_committee_size(lambda n: delta_at(n) <= args.delta), ""
+    feasible = _feasibility(tag, args.threshold, args.adversary_frac, args.delta)
+    return scan_committee_size(
+        lambda n: feasible(CommitteeLayout.from_runs(((n, k),)))), ""
 
 
 def _cmd_sweep(args, parser):

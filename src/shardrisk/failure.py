@@ -15,8 +15,9 @@ higher.  This module evaluates the probability of that event
 
 Every evaluator reads the layout's run table, ``CommitteeLayout.allowances``,
 of (size, multiplicity, allowed count).  The seven KL-type bounds are the
-rows of one table, ``_KL_BOUNDS``, of per-committee formulas and how they
-combine, and one walk over the run table, ``_kl_bound``, evaluates each.
+rows of one table, ``_KL_BOUNDS``, of per-committee formulas, the adversary
+model each reads its rate from and how they combine, and one walk over the
+run table, ``_kl_bound``, evaluates each.
 
 Bounds can exceed 1; they are clamped with a diagnostic flag instead of
 being rejected, so parameter sweeps never abort.  Preconditions of the
@@ -484,51 +485,55 @@ def delta_exact_hypergeometric(query: FailureQuery) -> DeltaResult:
 # ---------------------------------------------------------------------------
 # KL bounds: Chernoff-type sandwich and union (Boole) bounds
 #
-# In a row (union, log_term) of _KL_BOUNDS, log_term(n, p, q, D, N) is the log
-# of one committee's bound at size n, adversary rate p, failing fraction
-# q = (floor(A n) + 1) / n, D = D(q || p) and node total N.  Union terms are
-# summed; Theorem 1 terms are capped at 1 and combined by the stable
-# complement product.
-
-_PRECONDITION_WARNING = "bound precondition violated for some committee"
+# A row (model, union, log_term) of _KL_BOUNDS names the adversary model it
+# reads its rate p from: P itself under "average", the global rate M/N under
+# "exact".  log_term(n, p, q, D, N) is the log of one committee's bound at
+# size n, failing fraction q = (floor(A n) + 1) / n, D = D(q || p) and node
+# total N.  Union terms are summed; Theorem 1 terms are capped at 1 and
+# combined by the stable complement product.
 
 
 def _random_tight(n, p, q, d, total):
-    x = n / total * math.expm1(-d)  # -1 only at one committee, D > 37: the term is -N D
-    return total * math.log1p(x) if x > -1.0 else -total * d
+    # at one committee P(mu) = 1 and the term is -N D, which 1 + expm1(-D) loses
+    return -total * d if n == total else total * math.log1p(n / total * math.expm1(-d))
 
 
 _KL_BOUNDS = {
     # Theorem 1 sandwich on the exact product-binomial failure probability:
     #   lower bound      exp(-n D) / sqrt(8 n q (1 - q))
-    "theorem1-lower": (False, lambda n, p, q, d, total:
+    "theorem1-lower": ("average", False, lambda n, p, q, d, total:
                        -n * d - 0.5 * math.log(8.0 * n * q * (1.0 - q))),
     #   Ash upper        exp(-n D)
-    "theorem1-upper-ash": (False, lambda n, p, q, d, total: -n * d),
+    "theorem1-upper-ash": ("average", False, lambda n, p, q, d, total: -n * d),
     #   Ferrante upper   exp(-n D) / ((1 - r) sqrt(2 pi q (1 - q) n)),
     #                    r = p (1 - q) / (q (1 - p))
-    "theorem1-upper-ferrante": (False, lambda n, p, q, d, total:
+    "theorem1-upper-ferrante": ("average", False, lambda n, p, q, d, total:
                                 -n * d - math.log1p(-p * (1.0 - q) / (q * (1.0 - p)))
                                 - 0.5 * math.log(2.0 * math.pi * q * (1.0 - q) * n)),
     # union bound for fixed sizes: sum_mu exp(-n_mu D(q_mu || p))
-    "union-fixed": (True, lambda n, p, q, d, total: -n * d),
+    "union-fixed": ("average", True, lambda n, p, q, d, total: -n * d),
     # fully random partition, a node in committee mu with probability
     # P(mu) = n_mu / N, so the layout's sizes are the expected sizes:
     #   tight   sum_mu (P(mu) exp(-D) + 1 - P(mu))^N
-    "union-random": (True, _random_tight),
+    "union-random": ("average", True, _random_tight),
     #   simple  sum_mu exp(-N P(mu) (1 - exp(-D))), never below the tight form
-    "union-random-simple": (True, lambda n, p, q, d, total:
+    "union-random-simple": ("average", True, lambda n, p, q, d, total:
                             total * (n / total) * math.expm1(-d)),
     # Hoeffding form under exactly-M: union-fixed at the global rate p = M/N
-    "union-hyper-hoeffding": (True, lambda n, p, q, d, total: -n * d),
+    "union-hyper-hoeffding": ("exact", True, lambda n, p, q, d, total: -n * d),
 }
 
 
-def _kl_bound(method: str, query: FailureQuery, rate: float, warning: str) -> DeltaResult:
-    """The ``_KL_BOUNDS`` bound ``method`` at adversary rate p = ``rate``.  A run violating
-    p < q < 1 gets the trivial bound 1, clears ``precondition_ok`` and adds ``warning``."""
-    union, log_term = _KL_BOUNDS[method]
+def _kl_bound(method: str, query: FailureQuery) -> DeltaResult:
+    """The ``_KL_BOUNDS`` bound ``method``, by one walk over the run table.  A run
+    violating p < q < 1 gets the trivial bound 1 and clears ``precondition_ok``
+    with its model's warning."""
+    model, union, log_term = _KL_BOUNDS[method]
     n_total = query.layout.total
+    if model == "average":
+        rate, warning = _require_average(query), "bound precondition violated"
+    else:
+        rate, warning = _require_exact(query) / n_total, "Hoeffding precondition violated"
     terms = []
     precondition_ok = True
     for size, mult, cap in query.layout.allowances(query.threshold):
@@ -543,27 +548,25 @@ def _kl_bound(method: str, query: FailureQuery, rate: float, warning: str) -> De
         terms.append(math.log(mult) + log_bound if union else (min(log_bound, 0.0), mult))
     raw = log_sum_exp(terms) if union else stable_complement_product(terms)
     return _result(method, raw, precondition_ok=precondition_ok,
-                   warnings=() if precondition_ok else (warning,))
+                   warnings=() if precondition_ok else (f"{warning} for some committee",))
 
 
 def theorem1_bounds(query: FailureQuery) -> tuple[DeltaResult, DeltaResult, DeltaResult]:
     """Sandwich bounds (lower, upper_ash, upper_ferrante) on the exact
     product-binomial failure probability; see ``_KL_BOUNDS``."""
-    rate = _require_average(query)
-    return tuple(_kl_bound(method, query, rate, _PRECONDITION_WARNING) for method in (
+    return tuple(_kl_bound(method, query) for method in (
         "theorem1-lower", "theorem1-upper-ash", "theorem1-upper-ferrante"))
 
 
 def union_bound_fixed_sizes(query: FailureQuery) -> DeltaResult:
     """Union bound sum_mu exp(-n_mu D(q_mu || p_mu)) for fixed sizes."""
-    return _kl_bound("union-fixed", query, _require_average(query), _PRECONDITION_WARNING)
+    return _kl_bound("union-fixed", query)
 
 
 def union_bound_random_sizes(query: FailureQuery) -> tuple[DeltaResult, DeltaResult]:
     """Union bounds (tight form, simpler form) for the fully random partition,
     sizes not conditioned on; see ``_KL_BOUNDS``."""
-    rate = _require_average(query)
-    return tuple(_kl_bound(method, query, rate, _PRECONDITION_WARNING)
+    return tuple(_kl_bound(method, query)
                  for method in ("union-random", "union-random-simple"))
 
 
@@ -585,20 +588,22 @@ def _marginal_log_tail(size: int, total: int, m: int, cap: int) -> float:
     return min(log_sum_exp(np.minimum(terms, 0.0)), 0.0)
 
 
+def _union_hyper_exact(query: FailureQuery) -> DeltaResult:
+    """Union bound under exactly-M: the sum of exact per-committee marginal tails."""
+    m = _require_exact(query)
+    n_total = query.layout.total
+    terms = [
+        math.log(mult) + log_tail
+        for size, mult, cap in query.layout.allowances(query.threshold)
+        if (log_tail := _marginal_log_tail(size, n_total, m, cap)) > LOG_ZERO
+    ]
+    return _result("union-hyper-exact", log_sum_exp(np.array(terms)))
+
+
 def union_bound_hypergeometric(query: FailureQuery) -> tuple[DeltaResult, DeltaResult]:
     """Union bounds under the exactly-M model: (exact tail sum, Hoeffding form).
 
     The first sums the exact per-committee marginal tails; the second is the
     ``union-hyper-hoeffding`` row of ``_KL_BOUNDS``.
     """
-    m = _require_exact(query)
-    n_total = query.layout.total
-    exact_terms = [
-        math.log(mult) + log_tail
-        for size, mult, cap in query.layout.allowances(query.threshold)
-        if (log_tail := _marginal_log_tail(size, n_total, m, cap)) > LOG_ZERO
-    ]
-    exact = _result("union-hyper-exact", log_sum_exp(np.array(exact_terms)))
-    hoeffding = _kl_bound("union-hyper-hoeffding", query, m / n_total,
-                          "Hoeffding precondition violated for some committee")
-    return exact, hoeffding
+    return _union_hyper_exact(query), _kl_bound("union-hyper-hoeffding", query)

@@ -22,6 +22,7 @@ is no rigorous error bound, and estimates slightly outside [0, 1] are
 clamped with a flag.  At M equal to the total allowance the estimate does
 not apply (Q runs to 1); there every committee holds exactly its allowed
 count, and the survival has the closed form prod_mu C(n_mu, cap_mu) / C(N, M).
+Beyond it some committee must fail and delta is exactly 1; at M = 0 it is 0.
 """
 
 from __future__ import annotations
@@ -166,22 +167,25 @@ def delta_asymptotic(
 ) -> DeltaResult:
     """Leading-order failure probability under the exactly-M model.
 
-    Valid for 0 < M < N with M at most the total allowance.  The survival
-    estimate sqrt(N P (1-P) / variance_sum) * exp(N * psi) is clamped into
-    [0, 1] with a flag when the leading order overshoots.  At M equal to the
-    total allowance every committee must hold exactly its allowed count, and
-    the survival prod_mu C(n_mu, cap_mu) / C(N, M) is returned exactly.
+    For 0 < M below the total allowance, the survival estimate
+    sqrt(N P (1-P) / variance_sum) * exp(N * psi) is clamped into [0, 1] with
+    a flag when the leading order overshoots.  The edges are exact: 0 at
+    M = 0 or A >= 1, 1 above the total allowance, and at the total allowance
+    the survival prod_mu C(n_mu, cap_mu) / C(N, M).
     """
     m = int(adversary_count)
     n_total = layout.total
-    if not 0 < m < n_total:
-        raise ValueError(f"adversary_count must lie strictly inside (0, {n_total})")
+    if not 0 <= m <= n_total:
+        raise ValueError(f"adversary_count must lie in [0, {n_total}]")
     a = rate_as_float(threshold, "threshold")
     p = m / n_total
-    if a >= 1.0:
+    if m == 0 or a >= 1.0:
         return _result("asymptotic", LOG_ZERO, 0.0, clamped=False)
     runs = layout.allowances(threshold)
-    if m == sum(mult * cap for _, mult, cap in runs):
+    allowance = sum(mult * cap for _, mult, cap in runs)
+    if m > allowance:
+        return _result("asymptotic", 0.0, LOG_ZERO, clamped=False)
+    if m == allowance:
         log_survival = min(sum(mult * log_binomial_coefficient(size, cap)
                                for size, mult, cap in runs)
                            - log_binomial_coefficient(n_total, m), 0.0)

@@ -5,8 +5,8 @@ decide a layout by one feasibility predicate.  ``max_committees`` fixes the
 node total and returns the largest committee count whose n/(n+1) split
 meets the target.  ``min_committee_size`` fixes the committee count and
 finds the smallest per-committee size meeting the target by one linear
-scan, ``scan_committee_size``, which the CLI's sweep-n also uses for every
-method.
+scan, ``scan_committee_size``.  The CLI's sweep-n runs the same scan on
+``_feasibility`` of any analytic method tag.
 
 ``size_bracket`` gives closed-form bounds on that smallest size; both
 endpoints grow only logarithmically in the committee count (and in the
@@ -20,16 +20,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .failure import (
-    FailureQuery,
-    _marginal_log_tail,
-    delta_exact_binomial,
-    delta_exact_hypergeometric,
-)
+# perfbench's tracer self-test checks that sizing.delta_exact_binomial is restored
+from .failure import _marginal_log_tail, delta_exact_binomial  # noqa: F401
+from .methods import EXACT_TAGS, METHODS, method_query
 from .partitions import (
-    AverageAdversary,
     CommitteeLayout,
-    ExactAdversary,
     _marginal_log_pmf,
     exact_count_from_rate,
     layout_from_split,
@@ -85,13 +80,16 @@ def _validate_target(delta_target: RateLike) -> float:
     return d
 
 
-def _delta(layout: CommitteeLayout, model: str, threshold, rate) -> float:
-    """Exact failure probability under the model ("exact": M = round(N P))."""
-    if model == "average":
-        query = FailureQuery(layout, AverageAdversary(rate), threshold)
-        return delta_exact_binomial(query).delta
-    adversary = ExactAdversary(exact_count_from_rate(layout.total, rate))
-    return delta_exact_hypergeometric(FailureQuery(layout, adversary, threshold)).delta
+def _exact_tag(model: str) -> str:
+    if model not in EXACT_TAGS:
+        raise ValueError(f"model must be 'average' or 'exact', got {model!r}")
+    return EXACT_TAGS[model]
+
+
+def _delta(layout: CommitteeLayout, tag: str, threshold, rate) -> float:
+    """delta of the method ``tag`` on a layout at adversary rate P (M = round(N P))."""
+    method = METHODS[tag]
+    return method.evaluate(method_query(method.model, layout, threshold, rate)).delta
 
 
 def _log_tail_head(cap: int, size: int, total: int, m: int, goal: float) -> float:
@@ -133,23 +131,24 @@ def _log_binomial_tail_head(cap: int, size: int, rate: float, goal: float) -> fl
     return min(log_first + math.log(s), 0.0)
 
 
-def _feasibility(model: str, threshold, rate,
+def _feasibility(tag: str, threshold, rate,
                  delta_target: RateLike) -> Callable[[CommitteeLayout], bool]:
-    """Whether a layout's exact failure probability is at most the target.
+    """Whether a layout's delta by the analytic method ``tag`` is at most the target.
 
-    Both sizing directions build it, and it rejects an adversary rate at or
-    above the threshold, where larger committees do not lower the risk
-    toward zero.  Each run g has a single-committee tail T_g, bounded below
-    by a head of its pmf sum, so that a few float steps often settle a
-    layout before any row is built.
+    Sizing builds it for a model's exact tag, sweep-n for any tag, and it
+    rejects an adversary rate at or above the threshold, where larger
+    committees do not lower the risk toward zero.  Other tags are decided by
+    their evaluator.  Under an exact tag each run g has a single-committee
+    tail T_g, bounded below by a head of its pmf sum, so that a few float
+    steps often settle a layout before any row is built.
 
-    Under "average" delta = 1 - prod_g (1 - T_g)^m_g exactly, so that
+    Under "exact-binomial" delta = 1 - prod_g (1 - T_g)^m_g exactly, so that
     complement product over the heads bounds delta below: a layout whose
     bound exceeds the target by more than rounding is infeasible, and the
     others are decided by ``delta_exact_binomial``.
 
-    Under "exact" (M = round(N P)) the FFT evaluator runs only where a
-    sandwich straddles the target.  Multivariate hypergeometric counts are
+    Under "exact-hypergeometric" (M = round(N P)) the FFT evaluator runs only
+    where a sandwich straddles the target.  Multivariate hypergeometric counts are
     negatively associated (Joag-Dev & Proschan 1983), so 1 - prod_g (1 -
     T_g)^m_g <= delta <= sum_g m_g T_g.  First, a layout is infeasible if
     every head exceeds the per-committee share of the target; then both
@@ -159,7 +158,7 @@ def _feasibility(model: str, threshold, rate,
         raise ValueError("sizing needs adversary_rate below threshold")
     target = _validate_target(delta_target)
     log_target = math.log(target)
-    if model == "average":
+    if tag == "exact-binomial":
         p = float(rate)
         log_scale = -math.log(min(p, 1.0 - p)) if p > 0.0 else 0.0
 
@@ -172,11 +171,11 @@ def _feasibility(model: str, threshold, rate,
                      for size, mult, cap in layout.allowances(threshold)]
             if stable_complement_product(heads) > log_target + margin:
                 return False
-            return _delta(layout, model, threshold, rate) <= target
+            return _delta(layout, tag, threshold, rate) <= target
 
         return feasible_average
-    if model != "exact":
-        raise ValueError(f"model must be 'average' or 'exact', got {model!r}")
+    if tag != "exact-hypergeometric":
+        return lambda layout: _delta(layout, tag, threshold, rate) <= target
 
     def feasible(layout: CommitteeLayout) -> bool:
         total = layout.total
@@ -194,7 +193,7 @@ def _feasibility(model: str, threshold, rate,
             return True
         if stable_complement_product(tails) > log_target + margin:
             return False
-        return _delta(layout, model, threshold, rate) <= target
+        return _delta(layout, tag, threshold, rate) <= target
 
     return feasible
 
@@ -221,10 +220,11 @@ def max_committees(
     a = rate_as_float(threshold, "threshold")
     if not 0.0 < a < 1.0:
         raise ValueError(f"threshold must lie strictly inside (0, 1), got {a!r}")
-    feasible = _feasibility(model, threshold, adversary_rate, delta_target)
+    tag = _exact_tag(model)
+    feasible = _feasibility(tag, threshold, adversary_rate, delta_target)
     best = max((k for k in range(2, n_total + 1)
                 if feasible(layout_from_split(n_total, k))), default=1)
-    prob = 0.0 if best == 1 else _delta(layout_from_split(n_total, best), model,
+    prob = 0.0 if best == 1 else _delta(layout_from_split(n_total, best), tag,
                                         threshold, adversary_rate)
     return SizingResult(best, *divmod(n_total, best), prob, iterations=n_total - 1)
 
@@ -270,7 +270,7 @@ def min_committee_size(
     k = int(committees)
     if k < 1:
         raise ValueError(f"committees must be positive, got {committees}")
-    feasible = _feasibility(model, threshold, adversary_rate, delta_target)
+    feasible = _feasibility(_exact_tag(model), threshold, adversary_rate, delta_target)
     return scan_committee_size(lambda n: feasible(CommitteeLayout.from_runs(((n, k),))),
                                require_stable=require_stable)
 

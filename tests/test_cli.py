@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from oracles import exact_m_failure_survival, scan_largest_committee_count
-from shardrisk import cli, failure
+from shardrisk import failure, methods
 from shardrisk.cli import main
 from shardrisk.failure import FailureQuery
 from shardrisk.partitions import (
@@ -144,7 +144,7 @@ class TestInternalErrors:
         def broken(query):
             raise RuntimeError("injected fault")
 
-        monkeypatch.setattr(cli, "delta_exact_hypergeometric", broken)
+        monkeypatch.setattr(methods, "delta_exact_hypergeometric", broken)
         code, out, err = run_cli(
             capsys, "delta", "--layout", "2,2", "--adversary-count", "2",
             "--threshold", "1/2", "--method", "exact-hypergeometric",
@@ -643,7 +643,9 @@ class TestMonteCarloSweepDeterminism:
 # evaluator read one run table and the KL bounds one table of formulas:
 # bounds-float-rates pins float rates and equal sizes that are not
 # neighbours, and delta-caps-at-size every analytic tag with each allowed
-# count at its committee size.
+# count at its committee size.  sweep-n-every-tag and
+# sweep-n-every-tag-quarter were recorded before sweep-n and sizing shared
+# one feasibility predicate per tag: every analytic tag plus the bracket.
 _GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 
 
@@ -655,15 +657,15 @@ def test_registry_output_unchanged(capsys, name):
 
 
 def test_registry_covers_every_tag():
-    analytic = {tag for tag, method in cli.METHODS.items() if method.evaluate}
+    analytic = {tag for tag, method in methods.METHODS.items() if method.evaluate}
     assert analytic == set(_GOLDEN["delta-split"]["argv"][-1].split(","))
-    assert set(cli.METHODS) - analytic == {"monte-carlo-average", "monte-carlo-exact"}
+    assert set(methods.METHODS) - analytic == {"monte-carlo-average", "monte-carlo-exact"}
 
 
 def test_kl_tags_are_the_bound_table():
     # every analytic tag but these four is a KL bound, one row of _KL_BOUNDS,
-    # and its evaluator returns that row
-    analytic = {tag for tag, method in cli.METHODS.items() if method.evaluate}
+    # of the row's model, and its evaluator returns that row
+    analytic = {tag for tag, method in methods.METHODS.items() if method.evaluate}
     kl_tags = analytic - {"exact-binomial", "exact-hypergeometric", "asymptotic",
                           "union-hyper-exact"}
     assert kl_tags == set(failure._KL_BOUNDS)
@@ -671,9 +673,41 @@ def test_kl_tags_are_the_bound_table():
     adversaries = {"average": AverageAdversary(Fraction(1, 4)),
                    "exact": ExactAdversary(11)}
     for tag in kl_tags:
-        method = cli.METHODS[tag]
+        method = methods.METHODS[tag]
+        assert method.model == failure._KL_BOUNDS[tag][0]
         query = FailureQuery(layout, adversaries[method.model], Fraction(1, 3))
         assert method.evaluate(query).method == tag
+
+
+def test_theorem1_tags_walk_the_run_table_once_each(capsys, monkeypatch):
+    walks = []
+    allowances = CommitteeLayout.allowances
+
+    def counted(layout, threshold):
+        walks.append(threshold)
+        return allowances(layout, threshold)
+
+    monkeypatch.setattr(CommitteeLayout, "allowances", counted)
+    code, _, _ = run_cli(capsys, "delta", "--nodes", "601", "--committees", "4",
+                         "--adversary-frac", "1/4", "--threshold", "1/3", "--method",
+                         "theorem1-lower,theorem1-upper-ash,theorem1-upper-ferrante")
+    assert code == 0
+    assert len(walks) == 3
+
+
+def test_sweep_k_asymptotic_past_the_allowance_is_one(capsys):
+    # 12 nodes in K >= 5 committees allow at most 2 of the 3 adversaries, so
+    # some committee must fail: delta is exactly 1 by both exactly-M methods
+    code, out, _ = run_cli(capsys, "sweep", "--mode", "sweep-k", "--nodes", "12",
+                           "--k-range", "1:12", "--adversary-frac", "1/4",
+                           "--threshold", "1/3",
+                           "--methods", "asymptotic,exact-hypergeometric")
+    assert code == 0
+    rows = parse_csv(out)
+    assert [row["K"] for row in rows] == [str(k) for k in range(1, 13)]
+    for row in rows[4:]:
+        assert row["asymptotic"] == row["exact-hypergeometric"] == "1.0"
+        assert row["asymptotic_flags"] == ""
 
 
 def test_traced_names_resolve():
@@ -705,21 +739,16 @@ class TestEvaluatorsRebindable:
         monkeypatch.setattr(module, name, wrapper)
         return calls
 
+    # the KL tags call one private walk each; see
+    # test_theorem1_tags_walk_the_run_table_once_each
     @pytest.mark.parametrize("tag, name", [
         ("exact-binomial", "delta_exact_binomial"),
-        ("theorem1-lower", "theorem1_bounds"),
-        ("theorem1-upper-ash", "theorem1_bounds"),
-        ("theorem1-upper-ferrante", "theorem1_bounds"),
-        ("union-fixed", "union_bound_fixed_sizes"),
-        ("union-random", "union_bound_random_sizes"),
-        ("union-random-simple", "union_bound_random_sizes"),
         ("exact-hypergeometric", "delta_exact_hypergeometric"),
         ("asymptotic", "delta_asymptotic"),
-        ("union-hyper-exact", "union_bound_hypergeometric"),
-        ("union-hyper-hoeffding", "union_bound_hypergeometric"),
+        ("union-hyper-exact", "_union_hyper_exact"),
     ])
     def test_delta_reaches_each_evaluator(self, capsys, monkeypatch, tag, name):
-        calls = self._count(monkeypatch, cli, name)
+        calls = self._count(monkeypatch, methods, name)
         code, _, _ = run_cli(capsys, "delta", "--nodes", "600", "--committees", "4",
                              "--adversary-frac", "1/4", "--threshold", "1/3",
                              "--method", tag)
@@ -733,9 +762,7 @@ class TestEvaluatorsRebindable:
     def test_exact_sizing_reaches_the_evaluator(self, capsys, monkeypatch, argv,
                                                 column, value):
         # sizes where the sandwich straddles the target, so the FFT decides
-        from shardrisk import sizing
-
-        calls = self._count(monkeypatch, sizing, "delta_exact_hypergeometric")
+        calls = self._count(monkeypatch, methods, "delta_exact_hypergeometric")
         code, out, _ = run_cli(capsys, "size", "--delta", "0.5", "--threshold", "1/3",
                                "--adversary-frac", "1/4", "--model", "exact", *argv)
         assert code == 0

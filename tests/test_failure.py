@@ -291,6 +291,15 @@ class TestUnionBounds:
         tight, _ = union_bound_random_sizes(query)
         assert tight.log_delta == -10 * div
 
+    @pytest.mark.parametrize("rate", [1e-20, 1e-30, 1e-40])
+    def test_random_sizes_single_committee_closed_form(self, rate):
+        # one committee: P(mu) = 1, so the tight form is exp(-N D) exactly,
+        # which a base near 0 formed as 1 + expm1(-D) does not keep
+        q = 0.4
+        div = q * math.log(q / rate) + (1 - q) * (math.log1p(-q) - math.log1p(-rate))
+        tight, _ = union_bound_random_sizes(avg_query((10,), rate))
+        assert tight.log_delta == pytest.approx(-10 * div, rel=1e-14)
+
     def test_random_sizes_simple_form_is_looser(self):
         rng = np.random.default_rng(3)
         for _ in range(50):

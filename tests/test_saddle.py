@@ -194,13 +194,18 @@ class TestDeltaAsymptotic:
             )
         assert errors[0] > errors[1] > errors[2]
 
-    def test_rejects_unsolvable(self):
-        with pytest.raises(ValueError):
-            delta_asymptotic(CommitteeLayout((30, 30)), 25, THIRD)  # M/N > A
-        with pytest.raises(ValueError):
-            delta_asymptotic(CommitteeLayout((30, 30)), 0, THIRD)
-        with pytest.raises(ValueError):
-            delta_asymptotic(CommitteeLayout((30, 30)), 60, THIRD)
+    def test_exact_edges(self):
+        # allowance 20: no adversary cannot fail, and more than 20 must fail
+        layout = CommitteeLayout((30, 30))
+        for m, want in [(0, 0.0), (25, 1.0), (60, 1.0)]:
+            exact = delta_exact_hypergeometric(
+                FailureQuery(layout, ExactAdversary(m), THIRD))
+            assert delta_asymptotic(layout, m, THIRD).delta == exact.delta == want
+        for m in (-1, 61):
+            with pytest.raises(ValueError):
+                delta_asymptotic(layout, m, THIRD)
+        with pytest.raises(ValueError, match="no tilt exists"):
+            solve_saddle(layout, Fraction(25, 60), THIRD)  # M/N > A
 
 
 def _newton_grid():

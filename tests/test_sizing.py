@@ -97,9 +97,11 @@ class TestMaxCommittees:
         assert result.prob == pytest.approx(float(exact), rel=1e-9)
         assert exact <= 0.5
 
-    def test_model_validation(self):
+    @pytest.mark.parametrize("model", ["bogus", "exact-binomial", "asymptotic"])
+    def test_model_validation(self, model):
+        # a method tag is not a model
         with pytest.raises(ValueError, match="model"):
-            max_committees(20, 0.5, THIRD, 0.25, "bogus")
+            max_committees(20, 0.5, THIRD, 0.25, model)
 
     @pytest.mark.parametrize("total, threshold, match", [
         (0, THIRD, "total_nodes must be positive"),
@@ -206,9 +208,10 @@ class TestMinCommitteeSize:
         assert min_committee_size(k, delta_target, THIRD, Fraction(1, 4),
                                   "exact") == expected
 
-    def test_model_validation(self):
-        with pytest.raises(ValueError):
-            min_committee_size(2, 1e-3, THIRD, 0.25, "bogus")
+    @pytest.mark.parametrize("model", ["bogus", "exact-hypergeometric", "union-fixed"])
+    def test_model_validation(self, model):
+        with pytest.raises(ValueError, match="model"):
+            min_committee_size(2, 1e-3, THIRD, 0.25, model)
 
     # no size is feasible at P > A, so the scan would run to MAX_SIZE; at
     # P = A = 1/3, K = 2 and delta = 0.9 the average model returned 1
