@@ -41,20 +41,25 @@ _DELTA_COLUMNS = [
 
 def _parse_rate(text: str) -> Fraction | float:
     """'1/3' parses to an exact rational, anything else to a float."""
-    if "/" not in text:
-        return float(text)
     try:
-        return Fraction(text)
+        return Fraction(text) if "/" in text else float(text)
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(f"bad rate {text!r}: zero denominator") from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad rate {text!r}, expected a decimal or 'p/q'") from None
 
 
 def _parse_layout(text: str) -> CommitteeLayout:
     try:
         sizes = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad layout {text!r}, expected 'n1,n2,...'")
-    return CommitteeLayout(sizes)
+        raise argparse.ArgumentTypeError(
+            f"bad layout {text!r}, expected 'n1,n2,...'") from None
+    try:
+        return CommitteeLayout(sizes)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad layout {text!r}: {exc}") from None
 
 
 def _parse_range(text: str) -> list[int]:
@@ -62,8 +67,12 @@ def _parse_range(text: str) -> list[int]:
     if len(parts) not in (2, 3):
         raise argparse.ArgumentTypeError(
             f"bad range {text!r}, expected 'lo:hi' or 'lo:hi:step'")
-    lo, hi = int(parts[0]), int(parts[1])
-    step = int(parts[2]) if len(parts) == 3 else 1
+    try:
+        lo, hi = int(parts[0]), int(parts[1])
+        step = int(parts[2]) if len(parts) == 3 else 1
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad range {text!r}, expected whole numbers 'lo:hi' or 'lo:hi:step'") from None
     if step < 1:
         raise argparse.ArgumentTypeError("range step must be positive")
     if lo < 1:

@@ -34,8 +34,7 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import gammaln
+from numpy.fft import irfft, rfft
 
 from .partitions import (
     AdversaryModel,
@@ -51,6 +50,7 @@ from .probcore import (
     log1mexp,
     log_binomial_coefficient,
     log_binomial_coefficients,
+    log_factorial,
     log_sum_exp,
     rate_as_float,
     stable_complement_product,
@@ -340,6 +340,20 @@ def _saddle_tilt(groups: Sequence[_CapGroup], target: float, u: float, side: str
     return u, _tilt_moments(groups, u)
 
 
+def _next_fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n: the lengths pocketfft transforms fastest."""
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # the smallest power of two that takes odd up to n or past it
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
 def _coefficient(spectrum: np.ndarray, index: int, length: int) -> float:
     """ln of coefficient ``index`` of the real sequence whose rfft is ``spectrum``."""
     value = float(irfft(spectrum, length)[index])
@@ -470,7 +484,7 @@ def delta_exact_hypergeometric(query: FailureQuery) -> DeltaResult:
         return _result("exact-hypergeometric", 0.0, LOG_ZERO, clamped=False)
     degree = sum(mult * top for _, mult, top, _ in runs)
     # no z^(M +- L) term exists, so the length-L circular product has no alias at z^M
-    length = next_fast_len(max(m, degree - m) + 1, real=True)
+    length = _next_fast_len(max(m, degree - m) + 1)
     _check_memory(length, sum(top + 1 for _, _, top, _ in runs))
     groups = _cap_groups(runs)
     log_norm = log_binomial_coefficient(n_total, m)
@@ -574,7 +588,7 @@ def _marginal_log_tail(size: int, total: int, m: int, cap: int) -> float:
     """log P(count > cap) for one committee under the exactly-M model.
 
     Sums C(size, j) C(total - size, m - j) / C(total, m) over the counts
-    j > cap in its support, as one log-gamma row.
+    j > cap in its support, as one row of ln k! terms.
     """
     rest = total - size
     lo = max(cap + 1, m - rest)
@@ -582,8 +596,10 @@ def _marginal_log_tail(size: int, total: int, m: int, cap: int) -> float:
     if lo > hi:
         return LOG_ZERO
     j = np.arange(lo, hi + 1, dtype=np.float64)
-    terms = (gammaln(size + 1.0) - gammaln(j + 1.0) - gammaln(size - j + 1.0)
-             + gammaln(rest + 1.0) - gammaln(m - j + 1.0) - gammaln(rest - m + j + 1.0)
+    # one ln k! call for all six arguments: each call has a fixed numpy overhead
+    lf = log_factorial(np.concatenate(((size, rest), j, size - j, m - j, rest - m + j)))
+    lf_j, lf_size_j, lf_m_j, lf_rest_j = lf[2:].reshape(4, j.size)
+    terms = (lf[0] - lf_j - lf_size_j + lf[1] - lf_m_j - lf_rest_j
              - log_binomial_coefficient(total, m))
     return min(log_sum_exp(np.minimum(terms, 0.0)), 0.0)
 

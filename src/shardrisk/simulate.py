@@ -47,6 +47,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+# imported here, not on the first draw: numpy loads numpy.random lazily
+from numpy.random import Generator, Philox, SeedSequence
 
 from .failure import FailureQuery, _binomial_split_cached, _require_average
 from .partitions import AverageAdversary, ExactAdversary
@@ -94,9 +96,9 @@ class DeltaEstimate:
     ci95: tuple[float, float]
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(chunk_index,))
-    return np.random.Generator(np.random.Philox(seq))
+def _chunk_rng(seed: int, chunk_index: int) -> Generator:
+    seq = SeedSequence(entropy=int(seed), spawn_key=(chunk_index,))
+    return Generator(Philox(seq))
 
 
 def _group_survival(query: FailureQuery) -> np.ndarray:
@@ -111,7 +113,7 @@ def _group_survival(query: FailureQuery) -> np.ndarray:
                      for size, mult, cap in query.layout.allowances(query.threshold)])
 
 
-def _average_failures(rng: np.random.Generator, count: int,
+def _average_failures(rng: Generator, count: int,
                       survival: np.ndarray) -> int:
     """Failed samples among ``count`` average-model samples.
 
@@ -126,7 +128,7 @@ def _average_failures(rng: np.random.Generator, count: int,
                for start in range(0, count, rows))
 
 
-def _exact_failures(rng: np.random.Generator, query: FailureQuery, count: int,
+def _exact_failures(rng: Generator, query: FailureQuery, count: int,
                     allowances: list[tuple[int, int, int]]) -> int:
     """Failed samples among ``count`` exactly-M partitions.
 

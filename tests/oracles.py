@@ -63,6 +63,22 @@ def union_random_per_committee(query: FailureQuery) -> tuple[float, float]:
     return log_sum_exp(np.array(tight)), log_sum_exp(np.array(simple))
 
 
+def five_smooth_numbers(limit: int) -> list[int]:
+    """Every 2^a 3^b 5^c <= limit in ascending order, by enumerating exponents."""
+    found = []
+    p2 = 1
+    while p2 <= limit:
+        p3 = p2
+        while p3 <= limit:
+            p5 = p3
+            while p5 <= limit:
+                found.append(p5)
+                p5 *= 5
+            p3 *= 3
+        p2 *= 2
+    return sorted(found)
+
+
 def partitions_up_to(n_max: int):
     """All integer partitions (non-increasing tuples) of every n <= n_max."""
     out = []

@@ -111,6 +111,28 @@ class TestDeltaCommand:
         assert code == 2 and out == ""
         assert err.startswith("usage:") and "zero denominator" in err
 
+    @pytest.mark.parametrize("argv, reason", [
+        (["bounds", "--layout", "10,0", "--adversary-frac", "1/4"],
+         "bad layout '10,0': every committee needs at least one node, got size 0"),
+        (["bounds", "--layout", "10,x", "--adversary-frac", "1/4"],
+         "bad layout '10,x', expected 'n1,n2,...'"),
+        (["sweep", "--mode", "sweep-k", "--nodes", "100", "--k-range", "a:b",
+          "--adversary-frac", "1/4", "--methods", "exact-binomial"],
+         "bad range 'a:b', expected whole numbers"),
+        (["sweep", "--mode", "sweep-k", "--nodes", "100", "--k-range", "1:3:x",
+          "--adversary-frac", "1/4", "--methods", "exact-binomial"],
+         "bad range '1:3:x', expected whole numbers"),
+        (["bounds", "--nodes", "100", "--committees", "2", "--adversary-frac", "abc"],
+         "bad rate 'abc', expected a decimal or 'p/q'"),
+        (["bounds", "--nodes", "100", "--committees", "2", "--adversary-frac", "1/x"],
+         "bad rate '1/x', expected a decimal or 'p/q'"),
+    ], ids=["layout-size-zero", "layout-text", "range-text", "range-step-text",
+            "rate-text", "rate-fraction-text"])
+    def test_malformed_value_names_the_reason(self, capsys, argv, reason):
+        code, out, err = run_cli(capsys, *argv, "--threshold", "1/3")
+        assert code == 2 and out == ""
+        assert err.startswith("usage:") and reason in err and "_parse" not in err
+
     def test_domain_error_exits_one(self, capsys):
         code, _, err = run_cli(
             capsys, "delta", "--layout", "2,2", "--adversary-count", "9",

@@ -1,3 +1,4 @@
+import bisect
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from oracles import (
     binomial_failure_enumeration,
     exact_m_failure_survival,
     failure_threshold,
+    five_smooth_numbers,
     hypergeometric_failure_table,
     log_ratio,
     union_random_per_committee,
@@ -18,6 +20,7 @@ from shardrisk.failure import (
     DeltaResult,
     FailureQuery,
     _marginal_log_tail,
+    _next_fast_len,
     delta_exact_binomial,
     delta_exact_hypergeometric,
     theorem1_bounds,
@@ -132,6 +135,19 @@ class TestDeltaExactHypergeometric:
             for a in thresholds
         ]
         assert all(x >= y - 1e-12 for x, y in zip(values, values[1:]))
+
+
+class TestNextFastLen:
+    def test_every_length_below_twenty_thousand(self):
+        smooth = five_smooth_numbers(40_000)
+        for n in range(1, 20_000):
+            assert _next_fast_len(n) == smooth[bisect.bisect_left(smooth, n)], n
+
+    @pytest.mark.parametrize("n", [10 ** 8 - 1, 10 ** 8, 10 ** 8 + 1, 123_456_789,
+                                   25 * 10 ** 9 - 1, 25 * 10 ** 9, 25 * 10 ** 9 + 1])
+    def test_large_lengths(self, n):
+        smooth = five_smooth_numbers(2 * n)
+        assert _next_fast_len(n) == smooth[bisect.bisect_left(smooth, n)]
 
 
 @st.composite

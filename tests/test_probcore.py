@@ -14,6 +14,7 @@ from shardrisk.probcore import (
     kl_divergence,
     log1mexp,
     log_binomial_coefficient,
+    log_factorial,
     log_sum_exp,
     stable_complement_product,
 )
@@ -47,6 +48,40 @@ class TestLogBinomialCoefficient:
             log_binomial_coefficient(-1, 0)
         with pytest.raises(ValueError):
             log_binomial_coefficient(3, -2)
+
+
+class TestLogFactorial:
+    def test_matches_integer_factorials(self):
+        k = np.arange(3001)
+        got = log_factorial(k)
+        factorial = 1
+        for i in k.tolist():
+            factorial *= max(i, 1)
+            assert math.isclose(got[i], math.log(factorial), rel_tol=1e-15), i
+
+    @pytest.mark.parametrize("k", [12, 13, 100, 998, 999, 1000, 4095, 4096, 12345,
+                                   10 ** 6, 10 ** 8 - 2, 10 ** 8 - 1, 10 ** 8,
+                                   3 ** 20, 2 ** 33 + 1, 2 ** 40])
+    def test_matches_mpmath_log_gamma(self, k):
+        # either side of the x = 1000 and x = 1e8 switches of the series and
+        # of the end of the precomputed table at k = 4096
+        with mpmath.workdps(40):
+            want = float(mpmath.loggamma(mpmath.mpf(k) + 1))
+        assert math.isclose(float(log_factorial(np.array([k]))[0]), want, rel_tol=1e-15)
+
+    def test_exact_where_table_meets_series(self):
+        got = log_factorial(np.array([0, 1, 11, 12, 13])).tolist()
+        # k <= 11 from the table; 12 and 13 are scipy.special.gammaln(k + 1),
+        # the second one ulp below math.log(math.factorial(13))
+        assert got == [0.0, 0.0, math.log(39916800), 19.987214495661885,
+                       22.55216385312342]
+
+    def test_mixed_array_matches_single_values(self):
+        k = np.array([[3, 2 ** 20], [5000, 4095]])
+        got = log_factorial(k)
+        assert got.shape == (2, 2)
+        assert got.ravel().tolist() == [log_factorial(np.array([v]))[0]
+                                        for v in k.ravel().tolist()]
 
 
 class TestBinomialTailAndCdf:
