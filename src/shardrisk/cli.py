@@ -23,13 +23,7 @@ from .failure import DeltaResult
 from .methods import METHODS, method_query
 from .partitions import CommitteeLayout, layout_from_split
 from .simulate import DeltaEstimate, SimulationPlan, estimate_delta
-from .sizing import (
-    _feasibility,
-    max_committees,
-    min_committee_size,
-    scan_committee_size,
-    size_bracket,
-)
+from .sizing import max_committees, min_committee_size, scan_committee_size, size_bracket
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -355,9 +349,7 @@ def _sweep_n_cell(tag, k: int, args, parser) -> tuple:
     if tag == "bracket":
         bracket = size_bracket(k, args.delta, args.threshold, args.adversary_frac)
         return bracket.lower, bracket.upper, ""
-    feasible = _feasibility(tag, args.threshold, args.adversary_frac, args.delta)
-    return scan_committee_size(
-        lambda n: feasible(CommitteeLayout.from_runs(((n, k),)))), ""
+    return scan_committee_size(k, args.delta, args.threshold, args.adversary_frac, tag), ""
 
 
 def _cmd_sweep(args, parser):

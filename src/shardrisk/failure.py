@@ -43,6 +43,7 @@ from .partitions import (
     ExactAdversary,
 )
 from .probcore import (
+    _LN2,
     LOG_ZERO,
     RateLike,
     binomial_tail_and_cdf,
@@ -153,8 +154,10 @@ def delta_exact_binomial(query: FailureQuery) -> DeltaResult:
     """Exact failure probability under the independent-rate model.
 
     One minus the product of per-committee binomial CDFs at the allowed
-    counts; survival and failure are each accumulated in their own log
-    domain so neither loses precision to the other.
+    counts, accumulated from the tails by the stable complement product.
+    The survival side, a sum of CDF logs, is accurate only in absolute
+    terms, so it is returned only where delta is at least 1/2; below that,
+    log_survival is log1mexp(log delta), which keeps full relative accuracy.
     """
     rate = _require_average(query)
     log_survival = 0.0
@@ -166,7 +169,8 @@ def delta_exact_binomial(query: FailureQuery) -> DeltaResult:
         log_survival += mult * log_cdf
         log_tails.append((log_tail, mult))
     log_delta = stable_complement_product(log_tails)
-    return _result("exact-binomial", log_delta, log_survival, clamped=False)
+    return _result("exact-binomial", log_delta,
+                   log_survival if log_delta >= -_LN2 else None, clamped=False)
 
 
 # ---------------------------------------------------------------------------
@@ -462,16 +466,17 @@ def _check_memory(length: int, row_points: int) -> None:
 def delta_exact_hypergeometric(query: FailureQuery) -> DeltaResult:
     """Exact failure probability under the exactly-M model.
 
-    Survival is the z^M coefficient of the product of per-committee
-    generating polynomials truncated at the allowed counts, and failure
-    that of the product of their failing extensions (see above), each
-    normalised by C(N, M).  Each is read from FFTs of length L, a fast
-    length above max(M, D - M) with D <= N the degree of the truncated
-    product, at its own saddle-point tilt found by a safeguarded Newton
-    search on the tilted mean: O(groups * L log L) time and O(L) memory at
-    any node count.  Two answers are exact and need no transform: 0 when no
-    committee can exceed its allowance, 1 when M exceeds the total
-    allowance.
+    Failure is the z^M coefficient of the product of the failing
+    extensions of the per-committee generating polynomials truncated at the
+    allowed counts (see above), and survival that of the truncated product,
+    each normalised by C(N, M).  Survival is read only where delta is at
+    least 1/2: below that, log1mexp(log delta) is the more accurate survival
+    log.  Each side is read from FFTs of length L, a fast length above
+    max(M, D - M) with D <= N the degree of the truncated product, at its
+    own saddle-point tilt found by a safeguarded Newton search on the
+    tilted mean: O(groups * L log L) time and O(L) memory at any node count.
+    Two answers are exact and need no transform: 0 when no committee can
+    exceed its allowance, 1 when M exceeds the total allowance.
     """
     m = _require_exact(query)
     layout = query.layout
@@ -489,10 +494,12 @@ def delta_exact_hypergeometric(query: FailureQuery) -> DeltaResult:
     groups = _cap_groups(runs)
     log_norm = log_binomial_coefficient(n_total, m)
     u0 = math.log(m / (n_total - m))
-    log_survival = _log_survival(groups, m, *_saddle_tilt(groups, m, u0, "surv"),
-                                 length, log_norm)
     log_delta = _log_failure(groups, m, *_saddle_tilt(groups, m, u0, "fail"),
                              length, log_norm)
+    log_survival = None  # below 1/2, log1mexp(log delta) of _result
+    if log_delta >= -_LN2:
+        log_survival = _log_survival(groups, m, *_saddle_tilt(groups, m, u0, "surv"),
+                                     length, log_norm)
     return _result("exact-hypergeometric", log_delta, log_survival, clamped=False)
 
 

@@ -3,10 +3,10 @@
 Two directions are covered, each under either adversary model, and both
 decide a layout by one feasibility predicate.  ``max_committees`` fixes the
 node total and returns the largest committee count whose n/(n+1) split
-meets the target.  ``min_committee_size`` fixes the committee count and
-finds the smallest per-committee size meeting the target by one linear
-scan, ``scan_committee_size``.  The CLI's sweep-n runs the same scan on
-``_feasibility`` of any analytic method tag.
+meets the target.  ``scan_committee_size`` fixes the committee count and
+finds the smallest per-committee size meeting the target, at n and n + 1,
+by one linear scan keyed by an analytic method tag: ``min_committee_size``
+runs it on a model's exact tag, and the CLI's sweep-n on each tag it lists.
 
 ``size_bracket`` gives closed-form bounds on that smallest size; both
 endpoints grow only logarithmically in the committee count (and in the
@@ -19,6 +19,8 @@ import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 # perfbench's tracer self-test checks that sizing.delta_exact_binomial is restored
 from .failure import _marginal_log_tail, delta_exact_binomial  # noqa: F401
@@ -229,50 +231,38 @@ def max_committees(
     return SizingResult(best, *divmod(n_total, best), prob, iterations=n_total - 1)
 
 
-def scan_committee_size(
-    feasible: Callable[[int], bool], *, require_stable: bool = True
-) -> int:
-    """Smallest n in 1..MAX_SIZE with ``feasible(n)``, by a linear scan.
+def scan_committee_size(committees: int, delta_target: RateLike, threshold: RateLike,
+                        adversary_rate: RateLike, tag: str) -> int:
+    """Smallest size n of K equal committees whose delta by the analytic
+    method ``tag`` meets the target at both n and n + 1 (at ``MAX_SIZE``, n
+    alone), deciding each n once by ``_feasibility``.
 
-    With ``require_stable`` the size n + 1 must be feasible too (unless n
-    is ``MAX_SIZE``).  ``feasible`` is called at most once per n.
-    """
-    ok = functools.cache(feasible)
-    for n in range(1, MAX_SIZE + 1):
-        if ok(n) and (not require_stable or n == MAX_SIZE or ok(n + 1)):
-            return n
-    raise ValueError(f"no committee size up to {MAX_SIZE} meets the target")
-
-
-def min_committee_size(
-    committees: int,
-    delta_target: RateLike,
-    threshold: RateLike,
-    adversary_rate: RateLike,
-    model: str = "average",
-    *,
-    require_stable: bool = True,
-) -> int:
-    """Smallest committee size n meeting the target with K equal committees.
-
-    One linear scan over n = 1, 2, ... (``scan_committee_size``), each n
-    evaluated once.  No bisection is valid: the allowed count floor(A n)
-    jumps at multiples of 1/A, and under the exact model M = round(n K P)
-    rounds, so the failure probability is not monotone in n.  By default
-    feasibility is required at both n and n + 1, which skips isolated
-    one-off feasible sizes; pass ``require_stable=False`` for the raw
-    smallest feasible n.
-
-    ``model`` selects the evaluator: "average" uses the exact
-    product-binomial probability; "exact" pins the adversary count to
-    round(n K P), and each n is decided as ``_feasibility`` says.
+    One linear scan over n = 1, 2, ...: no bisection is valid, since the
+    allowed count floor(A n) jumps at multiples of 1/A, and under an
+    exactly-M tag M = round(n K P) rounds, so the failure probability is not
+    monotone in n.  Requiring n + 1 too skips isolated one-off feasible sizes.
     """
     k = int(committees)
     if k < 1:
         raise ValueError(f"committees must be positive, got {committees}")
-    feasible = _feasibility(_exact_tag(model), threshold, adversary_rate, delta_target)
-    return scan_committee_size(lambda n: feasible(CommitteeLayout.from_runs(((n, k),))),
-                               require_stable=require_stable)
+    feasible = _feasibility(tag, threshold, adversary_rate, delta_target)
+    ok = functools.cache(lambda n: feasible(CommitteeLayout.from_runs(((n, k),))))
+    for n in range(1, MAX_SIZE + 1):
+        if ok(n) and (n == MAX_SIZE or ok(n + 1)):
+            return n
+    raise ValueError(f"no committee size up to {MAX_SIZE} meets the target")
+
+
+def min_committee_size(committees: int, delta_target: RateLike, threshold: RateLike,
+                       adversary_rate: RateLike, model: str = "average") -> int:
+    """Smallest committee size n meeting the target with K equal committees:
+    ``scan_committee_size`` on the model's exact tag.
+
+    "average" decides each n by the exact product-binomial probability;
+    "exact" pins the adversary count to round(n K P).
+    """
+    return scan_committee_size(committees, delta_target, threshold, adversary_rate,
+                               _exact_tag(model))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -285,17 +275,27 @@ def _log_per_committee_budget(delta_target: float, committees: int) -> float:
 @functools.lru_cache(maxsize=1024)
 def _f_tilde(a: float, p: float) -> float:
     """f_tilde(A) of ``size_bracket``: it depends on (A, P) only, so each
-    pair is scanned once."""
-    f_tilde = -math.inf
-    for n in range(1, F_TILDE_SCAN_LIMIT + 1):
-        arg = a + 1.0 / n
-        if arg >= 1.0:
-            continue
-        value = kl_divergence(arg, p) + math.log(arg * (1.0 - arg)) / (2.0 * n)
-        f_tilde = max(f_tilde, value)
-    if not math.isfinite(f_tilde):
+    pair is scanned once.
+
+    One numpy pass over n finds the maximum to within rounding.  The n whose
+    value lies within 1e-9 of it (relative, or absolute below 1e-3) are then
+    evaluated by the scalar expression, so the result is bit for bit that of
+    a scalar loop over every n.
+    """
+    n = np.arange(1, F_TILDE_SCAN_LIMIT + 1, dtype=np.float64)
+    arg = a + 1.0 / n
+    n, arg = n[arg < 1.0], arg[arg < 1.0]
+    if not n.size:
         raise ValueError("f_tilde scan found no admissible argument below 1")
-    return f_tilde
+    kl = arg * np.log(arg / p) + (1.0 - arg) * np.log((1.0 - arg) / (1.0 - p))
+    values = np.maximum(kl, 0.0) + np.log(arg * (1.0 - arg)) / (2.0 * n)
+    top = float(values.max())
+
+    def value(k: int) -> float:
+        arg = a + 1.0 / k
+        return kl_divergence(arg, p) + math.log(arg * (1.0 - arg)) / (2.0 * k)
+
+    return max(value(int(k)) for k in n[values >= top - 1e-9 * max(abs(top), 1e-3)])
 
 
 def size_bracket(

@@ -5,7 +5,8 @@ integer weights where possible, so the fast implementations are checked
 against arithmetic that cannot share their failure modes.  Reference
 helpers that the library itself does not call live here too: the joint
 log-pmfs of the partition family, the failure threshold, one-draw count
-samplers, the series expansions of the size-bracket budget, the
+samplers, the series expansions of the size-bracket budget and the scalar f_tilde
+loop, the
 per-committee sequence of a layout and the per-committee form of the
 random-size union bounds.
 """
@@ -498,3 +499,18 @@ def bracket_expansions(delta_target: float, committees: int) -> tuple[float, flo
     )
     small_delta = math.log(k) - math.log(target) - target * (k - 1) / (2.0 * k)
     return large_k, small_delta
+
+
+def f_tilde_loop(a: float, p: float, limit: int) -> tuple[float, int]:
+    """(max, argmax) over n = 1..limit of D(A + 1/n || P) + log(arg (1 - arg)) / (2 n),
+    arg = A + 1/n < 1, one scalar term at a time: the loop ``sizing._f_tilde``
+    replaced, whose value it must keep bit for bit."""
+    best, best_n = -math.inf, 0
+    for n in range(1, limit + 1):
+        arg = a + 1.0 / n
+        if arg >= 1.0:
+            continue
+        value = kl_divergence(arg, p) + math.log(arg * (1.0 - arg)) / (2.0 * n)
+        if value > best:
+            best, best_n = value, n
+    return best, best_n

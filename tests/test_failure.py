@@ -2,6 +2,7 @@ import bisect
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +17,7 @@ from oracles import (
     log_ratio,
     union_random_per_committee,
 )
+from shardrisk import failure
 from shardrisk.failure import (
     DeltaResult,
     FailureQuery,
@@ -201,6 +203,49 @@ class TestExactMOracle:
     def test_small_unsorted_layouts(self, case, threshold):
         sizes, count = case
         assert_matches_exact_oracle(CommitteeLayout(sizes).runs, count, threshold)
+
+
+class TestLogSurvivalBelowHalf:
+    """Below delta = 1/2 both exact evaluators return log1mexp(log delta) as
+    log_survival.  Their own survival sums are accurate in absolute terms
+    only: they printed 0.0 at the two tiny deltas here, and the exact-binomial
+    one erred by 1.5e-11 relative at the delta of 0.035 below."""
+
+    @pytest.mark.parametrize("evaluate, adversary, delta", [
+        (delta_exact_binomial, AverageAdversary(Fraction(1, 10)), 9.93e-90),
+        (delta_exact_hypergeometric, ExactAdversary(400), 5.59e-54),
+    ])
+    def test_tiny_delta_gives_minus_delta(self, evaluate, adversary, delta):
+        result = evaluate(FailureQuery(CommitteeLayout((1000, 1000)), adversary, THIRD))
+        assert result.delta == pytest.approx(delta, rel=1e-2)
+        assert result.log_survival == pytest.approx(-result.delta, rel=1e-15, abs=0.0)
+
+    def test_exact_binomial_matches_rational_oracle(self):
+        # 601 nodes in 4 committees at rate 1/4: delta = 0.0349
+        layout, rate = layout_from_split(601, 4), Fraction(1, 4)
+        survival = Fraction(1)
+        for size, mult, cap in layout.allowances(THIRD):
+            survival *= sum(math.comb(size, j) * rate ** j * (1 - rate) ** (size - j)
+                            for j in range(cap + 1)) ** mult
+        with mpmath.workdps(40):
+            want = float(mpmath.log(mpmath.mpf(survival.numerator) / survival.denominator))
+        result = delta_exact_binomial(FailureQuery(layout, AverageAdversary(rate), THIRD))
+        assert result.log_survival == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("nodes, committees, count, reads", [
+        (601, 4, 150, 0),  # delta = 0.011
+        (1000, 20, 250, 1),  # delta = 0.912
+    ])
+    def test_exact_m_reads_survival_only_at_or_above_half(self, monkeypatch, nodes,
+                                                          committees, count, reads):
+        calls = []
+        log_survival = failure._log_survival
+        monkeypatch.setattr(failure, "_log_survival",
+                            lambda *args: calls.append(args) or log_survival(*args))
+        result = delta_exact_hypergeometric(FailureQuery(
+            layout_from_split(nodes, committees), ExactAdversary(count), THIRD))
+        assert (result.delta >= 0.5) == (reads == 1)
+        assert len(calls) == reads
 
 
 class TestTheorem1Bounds:

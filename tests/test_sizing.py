@@ -8,9 +8,11 @@ from oracles import (
     bracket_expansions,
     exact_m_failure_survival,
     exact_m_sandwich,
+    f_tilde_loop,
     scan_exact_m_committee_size,
     scan_largest_committee_count,
 )
+from shardrisk import sizing
 from shardrisk.failure import FailureQuery, _binomial_split_cached, delta_exact_binomial
 from shardrisk.partitions import (
     AverageAdversary,
@@ -21,14 +23,27 @@ from shardrisk.partitions import (
 )
 from shardrisk.probcore import kl_divergence
 from shardrisk.sizing import (
+    F_TILDE_SCAN_LIMIT,
+    _f_tilde,
+    _feasibility,
     _log_binomial_tail_head,
     _log_tail_head,
     max_committees,
     min_committee_size,
+    scan_committee_size,
     size_bracket,
 )
 
 THIRD = Fraction(1, 3)
+
+
+def assert_first_feasible(tag, committees, delta_target, rate, first):
+    """The scan's predicate for ``tag`` rejects every size of K equal
+    committees below the oracle's first feasible size and accepts that one."""
+    feasible = _feasibility(tag, THIRD, rate, delta_target)
+    decided = [feasible(CommitteeLayout.from_runs(((n, committees),)))
+               for n in range(1, first + 1)]
+    assert decided == [False] * (first - 1) + [True], (tag, committees, first)
 
 
 def split_delta(total, k, threshold, rate):
@@ -138,10 +153,25 @@ class TestMinCommitteeSize:
         assert layout_delta(n) <= target
         assert layout_delta(n + 1) <= target
 
-    def test_raw_solution_at_most_guarded(self):
-        raw = min_committee_size(4, 1e-3, THIRD, 0.25, require_stable=False)
-        guarded = min_committee_size(4, 1e-3, THIRD, 0.25)
-        assert raw <= guarded
+    def test_scan_is_keyed_by_method_tag(self):
+        for model, tag in (("average", "exact-binomial"), ("exact", "exact-hypergeometric")):
+            assert min_committee_size(4, 1e-3, THIRD, 0.25, model) == \
+                scan_committee_size(4, 1e-3, THIRD, 0.25, tag)
+        # union-fixed bounds the exact-binomial delta from above
+        assert scan_committee_size(4, 1e-3, THIRD, 0.25, "union-fixed") >= \
+            scan_committee_size(4, 1e-3, THIRD, 0.25, "exact-binomial")
+
+    def test_scan_rejects_committee_count_below_one(self):
+        with pytest.raises(ValueError, match="committees must be positive"):
+            scan_committee_size(0, 1e-3, THIRD, 0.25, "union-fixed")
+
+    def test_size_at_the_scan_limit_needs_no_successor(self, monkeypatch):
+        first, _ = scan_average_committee_size(4, 1e-3, 0.25)
+        monkeypatch.setattr(sizing, "MAX_SIZE", first)
+        assert min_committee_size(4, 1e-3, THIRD, 0.25) == first
+        monkeypatch.setattr(sizing, "MAX_SIZE", first - 1)
+        with pytest.raises(ValueError, match=f"no committee size up to {first - 1} "):
+            min_committee_size(4, 1e-3, THIRD, 0.25)
 
     def test_exact_model_never_larger_than_average(self):
         for k in (1, 4, 12, 50):
@@ -159,8 +189,7 @@ class TestMinCommitteeSize:
     def test_exact_model_matches_linear_scan_oracle(self, k, delta_target, rate):
         first, stable = scan_exact_m_committee_size(k, delta_target, rate, THIRD)
         assert min_committee_size(k, delta_target, THIRD, rate, "exact") == stable
-        assert min_committee_size(k, delta_target, THIRD, rate, "exact",
-                                  require_stable=False) == first
+        assert_first_feasible("exact-hypergeometric", k, delta_target, rate, first)
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_negative_association_sandwich(self, k):
@@ -241,8 +270,7 @@ class TestAverageModelHead:
         for k in (1, 2, 7, 100, 1000):
             first, stable = scan_average_committee_size(k, delta_target, rate)
             assert min_committee_size(k, delta_target, THIRD, rate) == stable, k
-            assert min_committee_size(k, delta_target, THIRD, rate,
-                                      require_stable=False) == first, k
+            assert_first_feasible("exact-binomial", k, delta_target, rate, first)
 
     @pytest.mark.parametrize("rate", [0.1, Fraction(1, 4)])
     @pytest.mark.parametrize("delta_target", [1e-9, 1e-6, 1e-3, 1e-1, 0.5])
@@ -315,6 +343,31 @@ class TestSizeBracket:
     def test_rejects_rate_at_or_above_threshold(self):
         with pytest.raises(ValueError):
             size_bracket(10, 1e-3, THIRD, 0.4)
+
+    @pytest.mark.parametrize("a", [0.1, 1 / 3, 0.34, 0.45, 0.5, 0.9, 0.999])
+    def test_f_tilde_is_the_scalar_loop_bit_for_bit(self, a):
+        # P from 1e-4 up to 0.999 A, geometrically, then within 1% of A, where f
+        # is not monotone in n
+        rates = [1e-4 * (0.999 * a / 1e-4) ** (i / 15) for i in range(16)]
+        rates += [a * (1.0 - gap) for gap in (0.01, 0.005, 0.002)]
+        for p in rates:
+            assert _f_tilde(a, p) == f_tilde_loop(a, p, F_TILDE_SCAN_LIMIT)[0], (a, p)
+
+    def test_f_tilde_maximum_at_the_scan_limit(self):
+        value, n = f_tilde_loop(0.45, 0.446, F_TILDE_SCAN_LIMIT)
+        assert n == F_TILDE_SCAN_LIMIT
+        assert _f_tilde(0.45, 0.446) == value
+
+    def test_fraction_inputs_match_floats(self):
+        exact = size_bracket(10, Fraction(1, 1000), THIRD, Fraction(1, 4))
+        assert exact == size_bracket(10, 1e-3, 1 / 3, 0.25)
+        assert exact.f_tilde == f_tilde_loop(1 / 3, 0.25, F_TILDE_SCAN_LIMIT)[0]
+
+    @pytest.mark.parametrize("a", [0.9999, 0.99995])
+    def test_no_admissible_argument(self, a):
+        # A + 1/n reaches 1 at every n up to the scan limit
+        with pytest.raises(ValueError, match="no admissible argument"):
+            size_bracket(1, 1e-3, a, 0.5)
 
 
 class TestBracketExpansions:
