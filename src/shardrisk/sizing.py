@@ -1,12 +1,13 @@
 """Committee sizing: how many committees, and how large, for a target risk.
 
 Two directions are covered, each under either adversary model, and both
-decide a layout by one feasibility predicate.  ``max_committees`` fixes the
-node total and returns the largest committee count whose n/(n+1) split
-meets the target.  ``scan_committee_size`` fixes the committee count and
-finds the smallest per-committee size meeting the target, at n and n + 1,
-by one linear scan keyed by an analytic method tag: ``min_committee_size``
-runs it on a model's exact tag, and the CLI's sweep-n on each tag it lists.
+decide a layout by one feasibility predicate: one sandwich on delta under
+either exact law.  ``max_committees`` fixes the node total and returns the
+largest committee count whose n/(n+1) split meets the target.
+``scan_committee_size`` fixes the committee count and finds the smallest
+per-committee size meeting the target, at n and n + 1, by one linear scan
+keyed by an analytic method tag: ``min_committee_size`` runs it on a model's
+exact tag, and the CLI's sweep-n on each tag it lists.
 
 ``size_bracket`` gives closed-form bounds on that smallest size; both
 endpoints grow only logarithmically in the committee count (and in the
@@ -22,8 +23,9 @@ from typing import Callable
 
 import numpy as np
 
+from .failure import _binomial_split_cached, _marginal_log_tail
 # perfbench's tracer self-test checks that sizing.delta_exact_binomial is restored
-from .failure import _marginal_log_tail, delta_exact_binomial  # noqa: F401
+from .failure import delta_exact_binomial  # noqa: F401
 from .methods import EXACT_TAGS, METHODS, method_query
 from .partitions import (
     CommitteeLayout,
@@ -94,104 +96,101 @@ def _delta(layout: CommitteeLayout, tag: str, threshold, rate) -> float:
     return method.evaluate(method_query(method.model, layout, threshold, rate)).delta
 
 
-def _log_tail_head(cap: int, size: int, total: int, m: int, goal: float) -> float:
-    """Lower bound on log P(count > cap) under exactly-M: a head of the pmf sum."""
-    j, rest = cap + 1, total - size
-    if j > min(size, m) or m - j > rest:
-        return LOG_ZERO
-    log_first = _marginal_log_pmf(j, size, total, m)
-    if log_first > goal:
-        return log_first
+def _log_tail_head(log_first: float, first: int, stop: int,
+                   ratio: Callable[[int], float], goal: float) -> float:
+    """Lower bound on a log tail: its pmf sum from count ``first``, whose log
+    pmf is ``log_first``, by at most 64 steps of ratio(j) = pmf(j + 1) / pmf(j)
+    up to count ``stop``, stopping once past ``goal``; at most log 1."""
     need = math.exp(min(goal - log_first, 700.0))  # finite far below the goal
     s = t = 1.0
-    for j in range(cap + 1, min(cap + 65, size, m)):
-        t *= (size - j) * (m - j) / ((j + 1) * (rest - m + j + 1))
+    for j in range(first, min(first + 64, stop)):
+        t *= ratio(j)
         s += t
         if s > need or t < 2.0 ** -20 * s:  # past the goal, or little left to add
             break
-    return log_first + math.log(s)
-
-
-def _log_binomial_tail_head(cap: int, size: int, rate: float, goal: float) -> float:
-    """``_log_tail_head`` for X ~ Binomial(size, rate): log P(X > cap) from below."""
-    j = cap + 1
-    if j > size or rate == 0.0:
-        return LOG_ZERO
-    lg = math.lgamma
-    log_first = (lg(size + 1) - lg(j + 1) - lg(size - j + 1)
-                 + j * math.log(rate) + (size - j) * math.log1p(-rate))
-    if log_first > goal:
-        return min(log_first, 0.0)
-    need = math.exp(min(goal - log_first, 700.0))
-    odds = rate / (1.0 - rate)
-    s = t = 1.0
-    for j in range(cap + 1, min(cap + 65, size)):
-        t *= (size - j) / (j + 1) * odds
-        s += t
-        if s > need or t < 2.0 ** -20 * s:
-            break
     return min(log_first + math.log(s), 0.0)
+
+
+def _binomial_law(rate) -> tuple:
+    """exact-binomial's law, Binomial(size, P) counts, for ``_feasibility``:
+    bind(layout) -> (key, log-term magnitude); head(key, size, cap, goal), a
+    lower bound on the log tail P(count > cap); tail(key, size, cap), its value."""
+    p, lg = float(rate), math.lgamma
+    odds = p / (1.0 - p)
+    log_scale = -math.log(min(p, 1.0 - p)) if p > 0.0 else 0.0
+
+    def bind(layout: CommitteeLayout) -> tuple:
+        top = max(layout.runs)[0]
+        return None, lg(top + 1) + top * log_scale
+
+    def head(_, size: int, cap: int, goal: float) -> float:
+        j = cap + 1
+        if j > size or p == 0.0:
+            return LOG_ZERO
+        log_first = min(lg(size + 1) - lg(j + 1) - lg(size - j + 1)
+                        + j * math.log(p) + (size - j) * math.log1p(-p), 0.0)
+        return log_first if log_first > goal else _log_tail_head(
+            log_first, j, size, lambda i: (size - i) / (i + 1) * odds, goal)
+
+    return bind, head, lambda _, size, cap: (  # the tails delta_exact_binomial sums
+        _binomial_split_cached(size, p, cap)[1] if cap < size else LOG_ZERO)
+
+
+def _hypergeometric_law(rate) -> tuple:
+    """exact-hypergeometric's law, as ``_binomial_law``'s: M = round(N P)
+    adversaries among a layout's N nodes, keyed by (N, M)."""
+
+    def bind(layout: CommitteeLayout) -> tuple:
+        total = layout.total
+        return (total, exact_count_from_rate(total, rate)), math.lgamma(total + 1)
+
+    def head(key, size: int, cap: int, goal: float) -> float:
+        total, m = key
+        rest = total - size
+        j, stop = max(cap + 1, m - rest), min(size, m)  # the failing support
+        if j > stop:
+            return LOG_ZERO
+        log_first = _marginal_log_pmf(j, size, total, m)
+        return log_first if log_first > goal else _log_tail_head(
+            log_first, j, stop,
+            lambda i: (size - i) * (m - i) / ((i + 1) * (rest - m + i + 1)), goal)
+
+    return bind, head, lambda key, size, cap: _marginal_log_tail(size, key[0], key[1], cap)
 
 
 def _feasibility(tag: str, threshold, rate,
                  delta_target: RateLike) -> Callable[[CommitteeLayout], bool]:
     """Whether a layout's delta by the analytic method ``tag`` is at most the target.
 
-    Sizing builds it for a model's exact tag, sweep-n for any tag, and it
-    rejects an adversary rate at or above the threshold, where larger
-    committees do not lower the risk toward zero.  Other tags are decided by
-    their evaluator.  Under an exact tag each run g has a single-committee
-    tail T_g, bounded below by a head of its pmf sum, so that a few float
-    steps often settle a layout before any row is built.
-
-    Under "exact-binomial" delta = 1 - prod_g (1 - T_g)^m_g exactly, so that
-    complement product over the heads bounds delta below: a layout whose
-    bound exceeds the target by more than rounding is infeasible, and the
-    others are decided by ``delta_exact_binomial``.
-
-    Under "exact-hypergeometric" (M = round(N P)) the FFT evaluator runs only
-    where a sandwich straddles the target.  Multivariate hypergeometric counts are
-    negatively associated (Joag-Dev & Proschan 1983), so 1 - prod_g (1 -
-    T_g)^m_g <= delta <= sum_g m_g T_g.  First, a layout is infeasible if
-    every head exceeds the per-committee share of the target; then both
-    ends are tried with one log-gamma row per run.
+    Sizing builds it for a model's exact tag, sweep-n for any tag; it rejects
+    an adversary rate at or above the threshold.  Other tags are decided by
+    their evaluator.  Under an exact tag, with T_g the tail of one committee
+    of run g, 1 - prod_g (1 - T_g)^m_g <= delta <= sum_g m_g T_g (equal on
+    the left for binomial counts; exactly-M counts are negatively associated,
+    Joag-Dev & Proschan 1983).  A layout is settled by the first step that
+    can: that left end over the heads past the target, the sandwich, or the
+    evaluator, each comparison within a rounding margin on log delta.
     """
     if rate_as_float(rate, "adversary_rate") >= rate_as_float(threshold, "threshold"):
         raise ValueError("sizing needs adversary_rate below threshold")
     target = _validate_target(delta_target)
-    log_target = math.log(target)
-    if tag == "exact-binomial":
-        p = float(rate)
-        log_scale = -math.log(min(p, 1.0 - p)) if p > 0.0 else 0.0
-
-        def feasible_average(layout: CommitteeLayout) -> bool:
-            top = max(size for size, _ in layout.runs)
-            # covers the rounding of the log pmf terms, of 64 ratio steps and of log_target
-            margin = 16 * math.ulp(math.lgamma(top + 1) + top * log_scale) + 2.0 ** -40
-            goal = margin - _log_per_committee_budget(target, layout.committee_count)
-            heads = [(_log_binomial_tail_head(cap, size, p, goal), mult)
-                     for size, mult, cap in layout.allowances(threshold)]
-            if stable_complement_product(heads) > log_target + margin:
-                return False
-            return _delta(layout, tag, threshold, rate) <= target
-
-        return feasible_average
-    if tag != "exact-hypergeometric":
+    laws = {"exact-binomial": _binomial_law, "exact-hypergeometric": _hypergeometric_law}
+    if tag not in laws:
         return lambda layout: _delta(layout, tag, threshold, rate) <= target
+    bind, head, tail = laws[tag](rate)
+    log_target = math.log(target)
 
     def feasible(layout: CommitteeLayout) -> bool:
-        total = layout.total
-        m = exact_count_from_rate(total, rate)
-        # covers the rounding of the log-gamma terms and of 64 ratio steps
-        margin = 16 * math.ulp(math.lgamma(total + 1)) + 2.0 ** -45
-        runs = layout.allowances(threshold)
-        # a tail past this puts the lower end over the target if all K have it
+        key, magnitude = bind(layout)
+        # covers the rounding of the log terms, of 64 ratio steps and of log_target
+        margin = 16 * math.ulp(magnitude) + 2.0 ** -40
         goal = margin - _log_per_committee_budget(target, layout.committee_count)
-        if all(_log_tail_head(cap, size, total, m, goal) > goal for size, _, cap in runs):
+        runs = layout.allowances(threshold)
+        if stable_complement_product([(head(key, size, cap, goal), mult)
+                                      for size, mult, cap in runs]) > log_target + margin:
             return False
-        tails = [(_marginal_log_tail(size, total, m, cap), mult)
-                 for size, mult, cap in runs]
-        if log_sum_exp([math.log(mult) + tail for tail, mult in tails]) < log_target - margin:
+        tails = [(tail(key, size, cap), mult) for size, mult, cap in runs]
+        if log_sum_exp([math.log(mult) + t for t, mult in tails]) < log_target - margin:
             return True
         if stable_complement_product(tails) > log_target + margin:
             return False

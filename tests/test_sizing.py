@@ -13,7 +13,13 @@ from oracles import (
     scan_largest_committee_count,
 )
 from shardrisk import sizing
-from shardrisk.failure import FailureQuery, _binomial_split_cached, delta_exact_binomial
+from shardrisk.failure import (
+    FailureQuery,
+    _binomial_split_cached,
+    _marginal_log_tail,
+    delta_exact_binomial,
+)
+from shardrisk.methods import METHODS, method_query
 from shardrisk.partitions import (
     AverageAdversary,
     CommitteeLayout,
@@ -24,10 +30,10 @@ from shardrisk.partitions import (
 from shardrisk.probcore import kl_divergence
 from shardrisk.sizing import (
     F_TILDE_SCAN_LIMIT,
+    _binomial_law,
     _f_tilde,
     _feasibility,
-    _log_binomial_tail_head,
-    _log_tail_head,
+    _hypergeometric_law,
     max_committees,
     min_committee_size,
     scan_committee_size,
@@ -51,6 +57,21 @@ def split_delta(total, k, threshold, rate):
         layout_from_split(total, k), AverageAdversary(rate), threshold
     )
     return delta_exact_binomial(query).delta
+
+
+def hypergeometric_head(cap, size, total, m, goal):
+    """The exactly-M law's tail head for one committee, m adversaries among
+    ``total`` nodes (the key reads only the layout's total)."""
+    bind, head, _ = _hypergeometric_law(Fraction(m, total))
+    key, _ = bind(CommitteeLayout.from_runs(((1, total),)))
+    return head(key, size, cap, goal)
+
+
+def binomial_head(cap, size, rate, goal):
+    """The average law's tail head for one committee at ``rate``."""
+    bind, head, _ = _binomial_law(rate)
+    key, _ = bind(CommitteeLayout.from_runs(((size, 1),)))
+    return head(key, size, cap, goal)
 
 
 @functools.cache
@@ -211,11 +232,11 @@ class TestMinCommitteeSize:
                            for j in range(cap + 1, min(n, m) + 1))
                 log_tail = (math.log(Fraction(tail, math.comb(total, m)))
                             if tail else -math.inf)
-                head = _log_tail_head(cap, n, total, m, math.inf)
+                head = hypergeometric_head(cap, n, total, m, math.inf)
                 assert head <= log_tail + 1e-12, (n, m)
                 if head > -math.inf:
                     assert head > log_tail - 1e-3, (n, m)
-                early = _log_tail_head(cap, n, total, m, log_tail - 0.5)
+                early = hypergeometric_head(cap, n, total, m, log_tail - 0.5)
                 assert early <= log_tail + 1e-12, (n, m)
 
     def test_tail_head_starts_at_the_library_pmf(self):
@@ -223,12 +244,28 @@ class TestMinCommitteeSize:
         for cap, size, total, m in [(0, 1, 2, 1), (3, 10, 30, 7), (33, 100, 400, 100),
                                     (166, 500, 10_000, 2_500), (9, 10, 20, 10),
                                     (4, 12, 40, 30)]:
-            assert _log_tail_head(cap, size, total, m, -math.inf) == \
+            assert hypergeometric_head(cap, size, total, m, -math.inf) == \
                 hypergeometric_marginal_log_pmf(cap + 1, size, total, m)
 
     def test_tail_head_far_below_its_goal_is_finite(self):
-        head = _log_tail_head(16_666, 50_000, 100_000, 25_000, -14.0)
+        head = hypergeometric_head(16_666, 50_000, 100_000, 25_000, -14.0)
         assert -math.inf < head < -1000.0
+
+    @pytest.mark.parametrize("cap, size, total, m", [(3, 10, 12, 9), (33, 100, 150, 90)])
+    def test_tail_head_starts_at_the_first_supported_count(self, cap, size, total, m):
+        # with M above the other committees' N - size nodes, every count below
+        # M - (N - size) has probability 0, and the tail is about 1
+        log_tail = _marginal_log_tail(size, total, m, cap)
+        head = hypergeometric_head(cap, size, total, m, math.inf)
+        assert log_tail - 1e-3 < head <= log_tail + 1e-12
+
+    def test_few_tail_rows_for_ten_large_committees(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sizing, "_marginal_log_tail",
+                            lambda *args: calls.append(args) or _marginal_log_tail(*args))
+        monkeypatch.setattr(sizing, "_delta", lambda *args: pytest.fail("evaluator ran"))
+        assert min_committee_size(10, 1e-9, THIRD, Fraction(3, 10), "exact") == 6993
+        assert len(calls) <= 20
 
     @pytest.mark.parametrize("k, delta_target, expected",
                              [(2, 1e-3, 141), (20, 1e-6, 768), (100, 1e-6, 891)])
@@ -288,11 +325,11 @@ class TestAverageModelHead:
             tail = sum(math.comb(n, j) * rate ** j * (1 - rate) ** (n - j)
                        for j in range(cap + 1, n + 1))
             log_tail = math.log(tail) if tail else -math.inf
-            head = _log_binomial_tail_head(cap, n, float(rate), math.inf)
+            head = binomial_head(cap, n, rate, math.inf)
             assert head <= log_tail + 1e-12, n
             if head > -math.inf:
                 assert head > log_tail - 1e-5, n
-            assert _log_binomial_tail_head(cap, n, float(rate), log_tail - 0.5) <= \
+            assert binomial_head(cap, n, rate, log_tail - 0.5) <= \
                 log_tail + 1e-12, n
 
     def test_few_binomial_rows_at_ten_thousand_nodes(self):
@@ -301,6 +338,40 @@ class TestAverageModelHead:
         result = max_committees(10_000, 1e-6, THIRD, Fraction(1, 4))
         assert result.committees == 12
         assert _binomial_split_cached.cache_info().misses <= 50
+
+    def test_few_binomial_rows_for_a_thousand_large_committees(self):
+        # one CDF row per size scanned would be 9,528 rows
+        _binomial_split_cached.cache_clear()
+        assert min_committee_size(1000, 1e-9, THIRD, Fraction(3, 10)) == 9528
+        assert _binomial_split_cached.cache_info().misses <= 20
+
+
+DECISION_RATES = [Fraction(1, 10), Fraction(1, 4), Fraction(3, 10), 0.2, 0.33]
+DECISION_TARGETS = [1e-3, 0.5, 0.9, 0.999, 1 - 1e-9, 1 - 1e-15]
+
+
+def decision_layouts():
+    """K equal committees of n nodes, and the n/(n+1) splits of a few N."""
+    for k in (1, 2, 3, 5, 10, 40):
+        for n in range(1, 60):
+            yield CommitteeLayout.from_runs(((n, k),))
+    for total in (30, 61, 200):
+        for k in range(1, total + 1, 1 if total < 100 else 3):
+            yield layout_from_split(total, k)
+
+
+@pytest.mark.parametrize("tag", ["exact-binomial", "exact-hypergeometric"])
+def test_feasibility_decides_as_its_evaluator(tag):
+    # every decision, not only the first feasible size, including targets
+    # within 1e-15 of 1, where a margin on log delta must not reject
+    method = METHODS[tag]
+    for rate in DECISION_RATES:
+        predicates = [(target, _feasibility(tag, THIRD, rate, target))
+                      for target in DECISION_TARGETS]
+        for layout in decision_layouts():
+            delta = method.evaluate(method_query(method.model, layout, THIRD, rate)).delta
+            for target, feasible in predicates:
+                assert feasible(layout) == (delta <= target), (layout.runs, rate, target)
 
 
 class TestSizeBracket:
