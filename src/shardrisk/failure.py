@@ -17,7 +17,9 @@ Every evaluator reads the layout's run table, ``CommitteeLayout.allowances``,
 of (size, multiplicity, allowed count).  The seven KL-type bounds are the
 rows of one table, ``_KL_BOUNDS``, of per-committee formulas, the adversary
 model each reads its rate from and how they combine, and one walk over the
-run table, ``_kl_bound``, evaluates each.
+run table, ``_kl_bound``, evaluates each.  Each exact per-committee tail law
+(``_binomial_law``, ``_hypergeometric_law``) is defined here once, beside the
+tails its evaluators read; the method registry hands it to sizing.
 
 Bounds can exceed 1; they are clamped with a diagnostic flag instead of
 being rejected, so parameter sweeps never abort.  Preconditions of the
@@ -31,17 +33,13 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .partitions import (
-    AdversaryModel,
-    AverageAdversary,
-    CommitteeLayout,
-    ExactAdversary,
-)
+from .partitions import (AdversaryModel, AverageAdversary, CommitteeLayout, ExactAdversary,
+                         _marginal_log_pmf, exact_count_from_rate)
 from .probcore import (
     _LN2,
     LOG_ZERO,
@@ -630,3 +628,65 @@ def union_bound_hypergeometric(query: FailureQuery) -> tuple[DeltaResult, DeltaR
     ``union-hyper-hoeffding`` row of ``_KL_BOUNDS``.
     """
     return _union_hyper_exact(query), _kl_bound("union-hyper-hoeffding", query)
+
+
+def _log_tail_head(log_first: float, first: int, stop: int,
+                   ratio: Callable[[int], float], goal: float) -> float:
+    """Lower bound on a log tail: its pmf sum from count ``first``, whose log
+    pmf is ``log_first``, by at most 64 steps of ratio(j) = pmf(j + 1) / pmf(j)
+    up to count ``stop``, stopping once past ``goal``; at most log 1."""
+    need = math.exp(min(goal - log_first, 700.0))  # finite far below the goal
+    s = t = 1.0
+    for j in range(first, min(first + 64, stop)):
+        t *= ratio(j)
+        s += t
+        if s > need or t < 2.0 ** -20 * s:  # past the goal, or little left to add
+            break
+    return min(log_first + math.log(s), 0.0)
+
+
+def _binomial_law(rate) -> tuple:
+    """Binomial(size, P) counts, the law of ``exact-binomial``: bind(layout) ->
+    (key, log-term magnitude); head(key, size, cap, goal), a lower bound on the
+    log tail P(count > cap); tail(key, size, cap), its value."""
+    p, lg = float(rate), math.lgamma
+    odds = p / (1.0 - p)
+    log_scale = -math.log(min(p, 1.0 - p)) if p > 0.0 else 0.0
+
+    def bind(layout: CommitteeLayout) -> tuple:
+        top = max(layout.runs)[0]
+        return None, lg(top + 1) + top * log_scale
+
+    def head(_, size: int, cap: int, goal: float) -> float:
+        j = cap + 1
+        if j > size or p == 0.0:
+            return LOG_ZERO
+        log_first = min(lg(size + 1) - lg(j + 1) - lg(size - j + 1)
+                        + j * math.log(p) + (size - j) * math.log1p(-p), 0.0)
+        return log_first if log_first > goal else _log_tail_head(
+            log_first, j, size, lambda i: (size - i) / (i + 1) * odds, goal)
+
+    return bind, head, lambda _, size, cap: (  # the tails delta_exact_binomial sums
+        _binomial_split_cached(size, p, cap)[1] if cap < size else LOG_ZERO)
+
+
+def _hypergeometric_law(rate) -> tuple:
+    """As ``_binomial_law``, for M = round(N P) adversaries among a layout's N
+    nodes, keyed by (N, M): the law of exact-hypergeometric and union-hyper-exact."""
+
+    def bind(layout: CommitteeLayout) -> tuple:
+        total = layout.total
+        return (total, exact_count_from_rate(total, rate)), math.lgamma(total + 1)
+
+    def head(key, size: int, cap: int, goal: float) -> float:
+        total, m = key
+        rest = total - size
+        j, stop = max(cap + 1, m - rest), min(size, m)  # the failing support
+        if j > stop:
+            return LOG_ZERO
+        log_first = _marginal_log_pmf(j, size, total, m)
+        return log_first if log_first > goal else _log_tail_head(
+            log_first, j, stop,
+            lambda i: (size - i) * (m - i) / ((i + 1) * (rest - m + i + 1)), goal)
+
+    return bind, head, lambda key, size, cap: _marginal_log_tail(size, key[0], key[1], cap)

@@ -150,7 +150,7 @@ AdversaryModel = Union[AverageAdversary, ExactAdversary]
 
 def exact_count_from_rate(total_nodes: int, rate: RateLike) -> int:
     """Adversary count for 'exactly N * P nodes': round half to even."""
-    if isinstance(rate, Fraction):
+    if type(rate) is Fraction:
         num, den = rate.numerator, rate.denominator
         if 0 <= num <= den:  # integers: a Fraction product and round() cost far more
             m, rest = divmod(num * int(total_nodes), den)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -59,7 +59,7 @@ def floor_rate_multiple(rate: RateLike, n: int) -> int:
     care about boundary cases such as rate = 1/3, n = 3 should pass a
     Fraction.
     """
-    if isinstance(rate, Fraction):
+    if type(rate) is Fraction:
         num, den = rate.as_integer_ratio()  # one call, not two property reads
         return num * n // den
     return math.floor(float(rate) * n)
@@ -221,13 +221,14 @@ def kl_divergence(q: RateLike, p: RateLike) -> float:
     return d if d > 0.0 else 0.0
 
 
-def stable_complement_product(log_terms: Iterable[tuple[float, int]]) -> float:
+def stable_complement_product(log_terms: Sequence[tuple[float, int]]) -> float:
     """log(1 - prod(1 - p_i)^m_i) from (log p_i, m_i) pairs.
 
-    Accepts an iterable of (log-probability, multiplicity) pairs, each
+    Accepts a sequence of (log-probability, multiplicity) pairs, each
     log-probability <= 0 or -inf and each multiplicity a positive integer.
     Evaluated through log1p-grade primitives, so it remains accurate when
-    every p_i is below 1e-12 and when the product is within 1e-15 of 1.
+    every p_i is below 1e-12 and when the product is within 1e-15 of 1; where
+    the survival log is 0 or subnormal, it is log sum_i m_i p_i instead.
     The empty product is 1, so an empty input yields LOG_ZERO.
     """
     log_survival = 0.0
@@ -239,6 +240,6 @@ def stable_complement_product(log_terms: Iterable[tuple[float, int]]) -> float:
             else:
                 raise ValueError(f"log-probability must be <= 0, got {t!r}")
         log_survival += mult * log1mexp(t)
-    if log_survival >= 0.0:
-        return LOG_ZERO
-    return log1mexp(log_survival)
+    if log_survival <= -2.0 ** -1022:  # a normal float
+        return log1mexp(log_survival)
+    return log_sum_exp([math.log(mult) + term for term, mult in log_terms])

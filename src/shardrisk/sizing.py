@@ -1,13 +1,13 @@
 """Committee sizing: how many committees, and how large, for a target risk.
 
 Two directions are covered, each under either adversary model, and both
-decide a layout by one feasibility predicate: one sandwich on delta under
-either exact law.  ``max_committees`` fixes the node total and returns the
-largest committee count whose n/(n+1) split meets the target.
-``scan_committee_size`` fixes the committee count and finds the smallest
-per-committee size meeting the target, at n and n + 1, by one linear scan
-keyed by an analytic method tag: ``min_committee_size`` runs it on a model's
-exact tag, and the CLI's sweep-n on each tag it lists.
+decide a layout by one feasibility predicate: a sandwich on delta from the
+tail law that ``METHODS`` holds for a tag.  ``max_committees`` fixes the node
+total and returns the largest committee count whose n/(n+1) split meets the
+target.  ``scan_committee_size`` fixes the committee count and finds the
+smallest per-committee size meeting the target, at n and n + 1, by one linear
+scan keyed by an analytic method tag: ``min_committee_size`` runs it on a
+model's exact tag, and the CLI's sweep-n on each tag it lists.
 
 ``size_bracket`` gives closed-form bounds on that smallest size; both
 endpoints grow only logarithmically in the committee count (and in the
@@ -23,18 +23,11 @@ from typing import Callable
 
 import numpy as np
 
-from .failure import _binomial_split_cached, _marginal_log_tail
 # perfbench's tracer self-test checks that sizing.delta_exact_binomial is restored
 from .failure import delta_exact_binomial  # noqa: F401
 from .methods import EXACT_TAGS, METHODS, method_query
-from .partitions import (
-    CommitteeLayout,
-    _marginal_log_pmf,
-    exact_count_from_rate,
-    layout_from_split,
-)
+from .partitions import CommitteeLayout, layout_from_split
 from .probcore import (
-    LOG_ZERO,
     RateLike,
     kl_divergence,
     log_sum_exp,
@@ -96,88 +89,26 @@ def _delta(layout: CommitteeLayout, tag: str, threshold, rate) -> float:
     return method.evaluate(method_query(method.model, layout, threshold, rate)).delta
 
 
-def _log_tail_head(log_first: float, first: int, stop: int,
-                   ratio: Callable[[int], float], goal: float) -> float:
-    """Lower bound on a log tail: its pmf sum from count ``first``, whose log
-    pmf is ``log_first``, by at most 64 steps of ratio(j) = pmf(j + 1) / pmf(j)
-    up to count ``stop``, stopping once past ``goal``; at most log 1."""
-    need = math.exp(min(goal - log_first, 700.0))  # finite far below the goal
-    s = t = 1.0
-    for j in range(first, min(first + 64, stop)):
-        t *= ratio(j)
-        s += t
-        if s > need or t < 2.0 ** -20 * s:  # past the goal, or little left to add
-            break
-    return min(log_first + math.log(s), 0.0)
-
-
-def _binomial_law(rate) -> tuple:
-    """exact-binomial's law, Binomial(size, P) counts, for ``_feasibility``:
-    bind(layout) -> (key, log-term magnitude); head(key, size, cap, goal), a
-    lower bound on the log tail P(count > cap); tail(key, size, cap), its value."""
-    p, lg = float(rate), math.lgamma
-    odds = p / (1.0 - p)
-    log_scale = -math.log(min(p, 1.0 - p)) if p > 0.0 else 0.0
-
-    def bind(layout: CommitteeLayout) -> tuple:
-        top = max(layout.runs)[0]
-        return None, lg(top + 1) + top * log_scale
-
-    def head(_, size: int, cap: int, goal: float) -> float:
-        j = cap + 1
-        if j > size or p == 0.0:
-            return LOG_ZERO
-        log_first = min(lg(size + 1) - lg(j + 1) - lg(size - j + 1)
-                        + j * math.log(p) + (size - j) * math.log1p(-p), 0.0)
-        return log_first if log_first > goal else _log_tail_head(
-            log_first, j, size, lambda i: (size - i) / (i + 1) * odds, goal)
-
-    return bind, head, lambda _, size, cap: (  # the tails delta_exact_binomial sums
-        _binomial_split_cached(size, p, cap)[1] if cap < size else LOG_ZERO)
-
-
-def _hypergeometric_law(rate) -> tuple:
-    """exact-hypergeometric's law, as ``_binomial_law``'s: M = round(N P)
-    adversaries among a layout's N nodes, keyed by (N, M)."""
-
-    def bind(layout: CommitteeLayout) -> tuple:
-        total = layout.total
-        return (total, exact_count_from_rate(total, rate)), math.lgamma(total + 1)
-
-    def head(key, size: int, cap: int, goal: float) -> float:
-        total, m = key
-        rest = total - size
-        j, stop = max(cap + 1, m - rest), min(size, m)  # the failing support
-        if j > stop:
-            return LOG_ZERO
-        log_first = _marginal_log_pmf(j, size, total, m)
-        return log_first if log_first > goal else _log_tail_head(
-            log_first, j, stop,
-            lambda i: (size - i) * (m - i) / ((i + 1) * (rest - m + i + 1)), goal)
-
-    return bind, head, lambda key, size, cap: _marginal_log_tail(size, key[0], key[1], cap)
-
-
 def _feasibility(tag: str, threshold, rate,
                  delta_target: RateLike) -> Callable[[CommitteeLayout], bool]:
     """Whether a layout's delta by the analytic method ``tag`` is at most the target.
 
-    Sizing builds it for a model's exact tag, sweep-n for any tag; it rejects
-    an adversary rate at or above the threshold.  Other tags are decided by
-    their evaluator.  Under an exact tag, with T_g the tail of one committee
-    of run g, 1 - prod_g (1 - T_g)^m_g <= delta <= sum_g m_g T_g (equal on
-    the left for binomial counts; exactly-M counts are negatively associated,
-    Joag-Dev & Proschan 1983).  A layout is settled by the first step that
-    can: that left end over the heads past the target, the sandwich, or the
-    evaluator, each comparison within a rounding margin on log delta.
+    Sizing builds it for a model's exact tag, sweep-n for any tag; it rejects an
+    adversary rate at or above the threshold.  A tag with no law in ``METHODS``
+    is decided by its evaluator.  With T_g the law's tail of one committee of
+    run g, 1 - prod_g (1 - T_g)^m_g <= delta <= sum_g m_g T_g (equal on the left
+    for binomial counts, on the right for union-hyper-exact; exactly-M counts
+    are negatively associated, Joag-Dev & Proschan 1983).  A layout is settled
+    by the first step that can: that left end over the heads past the target,
+    the sandwich, or the evaluator, each within a rounding margin on log delta.
     """
     if rate_as_float(rate, "adversary_rate") >= rate_as_float(threshold, "threshold"):
         raise ValueError("sizing needs adversary_rate below threshold")
     target = _validate_target(delta_target)
-    laws = {"exact-binomial": _binomial_law, "exact-hypergeometric": _hypergeometric_law}
-    if tag not in laws:
+    law = METHODS[tag].law
+    if law is None:
         return lambda layout: _delta(layout, tag, threshold, rate) <= target
-    bind, head, tail = laws[tag](rate)
+    bind, head, tail = law(rate)
     log_target = math.log(target)
 
     def feasible(layout: CommitteeLayout) -> bool:

@@ -17,7 +17,7 @@ from oracles import (
     log_ratio,
     union_random_per_committee,
 )
-from shardrisk import failure
+from shardrisk import cli, failure
 from shardrisk.failure import (
     DeltaResult,
     FailureQuery,
@@ -30,6 +30,7 @@ from shardrisk.failure import (
     union_bound_hypergeometric,
     union_bound_random_sizes,
 )
+from shardrisk.methods import METHODS, method_query
 from shardrisk.partitions import (
     AverageAdversary,
     CommitteeLayout,
@@ -246,6 +247,83 @@ class TestLogSurvivalBelowHalf:
             layout_from_split(nodes, committees), ExactAdversary(count), THIRD))
         assert (result.delta >= 0.5) == (reads == 1)
         assert len(calls) == reads
+
+
+def mp_log_complement_product(log_terms):
+    """log(1 - prod_g (1 - e^t_g)^m_g) in mpmath, through log1p and expm1."""
+    log_survival = mpmath.fsum(m * mpmath.log1p(-mpmath.exp(t)) for t, m in log_terms)
+    return mpmath.log(-mpmath.expm1(log_survival))
+
+
+def mp_binomial_log_tail(n, p, cap):
+    """log P(Binomial(n, p) > cap) in mpmath, for cap + 1 above the mean: the
+    terms fall geometrically, so the sum stops once they are negligible."""
+    term = mpmath.binomial(n, cap + 1) * p ** (cap + 1) * (1 - p) ** (n - cap - 1)
+    total = mpmath.mpf(0)
+    for j in range(cap + 1, n + 1):
+        total += term
+        term *= mpmath.mpf(n - j) / (j + 1) * p / (1 - p)
+        if term < total * mpmath.mpf(10) ** -40:
+            break
+    return mpmath.log(total)
+
+
+MP_THEOREM1 = {
+    "theorem1-lower": lambda n, p, q, d: -n * d - mpmath.log(8 * n * q * (1 - q)) / 2,
+    "theorem1-upper-ash": lambda n, p, q, d: -n * d,
+    "theorem1-upper-ferrante": lambda n, p, q, d: (
+        -n * d - mpmath.log1p(-p * (1 - q) / (q * (1 - p)))
+        - mpmath.log(2 * mpmath.pi * q * (1 - q) * n) / 2),
+}
+
+
+class TestDeepTail:
+    """Once every committee's tail T_g is below about e^-708, the complement
+    product's survival log is subnormal or 0, and log delta is log sum_g m_g
+    T_g to double precision.  log delta runs from -720 down to -1e4 here."""
+
+    GRID = [(Fraction(1, 100), ((790, 2),)), (Fraction(1, 100), ((820, 2),)),
+            (Fraction(1, 100), ((3000, 2),)), (Fraction(1, 100), ((6000, 3),)),
+            (Fraction(1, 100), ((5000, 1), (5001, 1))), (Fraction(1, 100), ((11000, 2),)),
+            (Fraction(1, 10), ((4000, 2),)), (Fraction(1, 10), ((10000, 5),)),
+            (Fraction(1, 10), ((45000, 2),))]
+
+    @pytest.mark.parametrize("rate, runs", GRID)
+    def test_exact_binomial_matches_mpmath(self, rate, runs):
+        layout = CommitteeLayout.from_runs(runs)
+        got = delta_exact_binomial(FailureQuery(layout, AverageAdversary(rate), THIRD))
+        with mpmath.workdps(40):
+            p = mpmath.mpf(float(rate))
+            want = float(mp_log_complement_product(
+                [(mp_binomial_log_tail(size, p, cap), mult)
+                 for size, mult, cap in layout.allowances(THIRD)]))
+        assert -1e4 < want < -700.0
+        assert got.log_delta == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("rate, runs", GRID)
+    @pytest.mark.parametrize("tag", sorted(MP_THEOREM1))
+    def test_theorem1_formulas_match_mpmath(self, tag, rate, runs):
+        layout = CommitteeLayout.from_runs(runs)
+        got = METHODS[tag].evaluate(method_query("average", layout, THIRD, rate))
+        with mpmath.workdps(40):
+            p = mpmath.mpf(float(rate))
+            terms = []
+            for size, mult, cap in layout.allowances(THIRD):
+                q = mpmath.mpf(cap + 1) / size
+                d = q * mpmath.log(q / p) + (1 - q) * mpmath.log((1 - q) / (1 - p))
+                terms.append((min(MP_THEOREM1[tag](size, p, q, d), 0), mult))
+            want = float(mp_log_complement_product(terms))
+        assert got.log_delta == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_bounds_cli_layout_of_two_3000s(self, capsys):
+        # the mpmath value of log delta is -2723.088
+        assert cli.main(["bounds", "--layout", "3000,3000", "--adversary-frac", "1/100",
+                         "--threshold", "1/3"]) == 0
+        rows = {line.split(",")[0]: line.split(",") for line in
+                capsys.readouterr().out.splitlines()}
+        assert rows["exact-binomial"][2] == "-2723.0880018444223"
+        for tag in MP_THEOREM1:
+            assert -2724.0 < float(rows[tag][2]) < -2718.0, tag
 
 
 class TestTheorem1Bounds:

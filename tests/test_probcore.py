@@ -180,6 +180,12 @@ class TestStableComplementProduct:
             rel = abs(mpmath.exp(got) - reference) / reference
         assert rel < 1e-10
 
+    @pytest.mark.parametrize("term", [-720.0, -745.0, -800.0, -5000.0])
+    def test_deep_tail_is_the_log_of_the_union_sum(self, term):
+        # every e^t is subnormal or 0, so delta = 2 e^t + e^(t - 1) to double precision
+        got = stable_complement_product([(term, 2), (term - 1.0, 1), (LOG_ZERO, 4)])
+        assert got == pytest.approx(term + math.log(2.0 + math.exp(-1.0)), rel=1e-15)
+
     def test_product_near_one(self):
         # nine certain committees out of ten: failure probability exactly 1
         terms = [(0.0, 9), (math.log(0.5), 1)]

@@ -12,10 +12,12 @@ from oracles import (
     scan_exact_m_committee_size,
     scan_largest_committee_count,
 )
-from shardrisk import sizing
+from shardrisk import failure, sizing
 from shardrisk.failure import (
     FailureQuery,
+    _binomial_law,
     _binomial_split_cached,
+    _hypergeometric_law,
     _marginal_log_tail,
     delta_exact_binomial,
 )
@@ -30,10 +32,8 @@ from shardrisk.partitions import (
 from shardrisk.probcore import kl_divergence
 from shardrisk.sizing import (
     F_TILDE_SCAN_LIMIT,
-    _binomial_law,
     _f_tilde,
     _feasibility,
-    _hypergeometric_law,
     max_committees,
     min_committee_size,
     scan_committee_size,
@@ -261,10 +261,21 @@ class TestMinCommitteeSize:
 
     def test_few_tail_rows_for_ten_large_committees(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(sizing, "_marginal_log_tail",
+        monkeypatch.setattr(failure, "_marginal_log_tail",
                             lambda *args: calls.append(args) or _marginal_log_tail(*args))
         monkeypatch.setattr(sizing, "_delta", lambda *args: pytest.fail("evaluator ran"))
         assert min_committee_size(10, 1e-9, THIRD, Fraction(3, 10), "exact") == 6993
+        assert len(calls) <= 20
+
+    @pytest.mark.parametrize("k, expected", [(10, 6993), (1000, 9516)])
+    def test_few_tail_rows_for_the_union_tag(self, monkeypatch, k, expected):
+        # deciding each size by the evaluator builds one tail row per size:
+        # 6,994 at K = 10 and 9,517 at K = 1000
+        calls = []
+        monkeypatch.setattr(failure, "_marginal_log_tail",
+                            lambda *args: calls.append(args) or _marginal_log_tail(*args))
+        assert scan_committee_size(k, 1e-9, THIRD, Fraction(3, 10),
+                                   "union-hyper-exact") == expected
         assert len(calls) <= 20
 
     @pytest.mark.parametrize("k, delta_target, expected",
@@ -360,7 +371,14 @@ def decision_layouts():
             yield layout_from_split(total, k)
 
 
-@pytest.mark.parametrize("tag", ["exact-binomial", "exact-hypergeometric"])
+LAW_TAGS = [tag for tag, method in METHODS.items() if method.law]
+
+
+def test_law_tags():
+    assert LAW_TAGS == ["exact-binomial", "exact-hypergeometric", "union-hyper-exact"]
+
+
+@pytest.mark.parametrize("tag", LAW_TAGS)
 def test_feasibility_decides_as_its_evaluator(tag):
     # every decision, not only the first feasible size, including targets
     # within 1e-15 of 1, where a margin on log delta must not reject
