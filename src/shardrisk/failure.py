@@ -468,11 +468,12 @@ def delta_exact_hypergeometric(query: FailureQuery) -> DeltaResult:
     extensions of the per-committee generating polynomials truncated at the
     allowed counts (see above), and survival that of the truncated product,
     each normalised by C(N, M).  Survival is read only where delta is at
-    least 1/2: below that, log1mexp(log delta) is the more accurate survival
-    log.  Each side is read from FFTs of length L, a fast length above
-    max(M, D - M) with D <= N the degree of the truncated product, at its
-    own saddle-point tilt found by a safeguarded Newton search on the
-    tilted mean: O(groups * L log L) time and O(L) memory at any node count.
+    least 1/2, and log delta is then log1mexp of it; below 1/2,
+    log1mexp(log delta) is the more accurate survival log.  Each side is
+    read from FFTs of length L, a fast length above max(M, D - M) with
+    D <= N the degree of the truncated product, at its own saddle-point
+    tilt found by a safeguarded Newton search on the tilted mean:
+    O(groups * L log L) time and O(L) memory at any node count.
     Two answers are exact and need no transform: 0 when no committee can
     exceed its allowance, 1 when M exceeds the total allowance.
     """
@@ -498,6 +499,7 @@ def delta_exact_hypergeometric(query: FailureQuery) -> DeltaResult:
     if log_delta >= -_LN2:
         log_survival = _log_survival(groups, m, *_saddle_tilt(groups, m, u0, "surv"),
                                      length, log_norm)
+        log_delta = log1mexp(log_survival)  # a failure log near 0 keeps no relative accuracy
     return _result("exact-hypergeometric", log_delta, log_survival, clamped=False)
 
 
@@ -613,12 +615,9 @@ def _union_hyper_exact(query: FailureQuery) -> DeltaResult:
     """Union bound under exactly-M: the sum of exact per-committee marginal tails."""
     m = _require_exact(query)
     n_total = query.layout.total
-    terms = [
-        math.log(mult) + log_tail
-        for size, mult, cap in query.layout.allowances(query.threshold)
-        if (log_tail := _marginal_log_tail(size, n_total, m, cap)) > LOG_ZERO
-    ]
-    return _result("union-hyper-exact", log_sum_exp(np.array(terms)))
+    terms = [math.log(mult) + _marginal_log_tail(size, n_total, m, cap)
+             for size, mult, cap in query.layout.allowances(query.threshold)]
+    return _result("union-hyper-exact", log_sum_exp(terms))
 
 
 def union_bound_hypergeometric(query: FailureQuery) -> tuple[DeltaResult, DeltaResult]:

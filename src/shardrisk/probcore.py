@@ -109,8 +109,6 @@ def log_binomial_coefficient(n: int, k: int) -> float:
     k = _check_count(k, "k")
     if k > n:
         raise ValueError(f"k must not exceed n, got k={k}, n={n}")
-    if k == 0 or k == n:
-        return 0.0
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
@@ -168,8 +166,6 @@ def log_binomial_coefficients(n: int) -> np.ndarray:
     n = _check_count(n, "n")
     lf = log_factorial(np.arange(n + 1, dtype=np.float64))
     row = lf[n] - lf - lf[::-1]
-    row[0] = 0.0
-    row[-1] = 0.0
     row.setflags(write=False)
     return row
 
@@ -177,10 +173,10 @@ def log_binomial_coefficients(n: int) -> np.ndarray:
 def binomial_tail_and_cdf(n: int, p: RateLike, k: int) -> tuple[float, float]:
     """Log CDF and log upper tail of Binomial(n, p) split at k.
 
-    Returns ``(log P(X <= k), log P(X >= k + 1))``.  Both halves are
-    direct log-sum-exp accumulations of pmf terms in ascending k order;
-    neither is obtained by subtracting the other in linear space, so each
-    is accurate in its own domain and the two linear values sum to one.
+    Returns ``(log P(X <= k), log P(X >= k + 1))``.  The side below 1/2 is
+    a log-sum-exp of its pmf terms, the other side log1mexp of it: the tail
+    is summed, and the CDF only where the tail is at least 1/2.  So each log
+    keeps full relative accuracy and the two probabilities are complementary.
     """
     n = _check_count(n, "n")
     if n < 1:
@@ -192,14 +188,14 @@ def binomial_tail_and_cdf(n: int, p: RateLike, k: int) -> tuple[float, float]:
     if p == 0.0:
         return 0.0, LOG_ZERO
     if p == 1.0:
-        if k == n:
-            return 0.0, LOG_ZERO
-        return LOG_ZERO, 0.0
+        return (0.0, LOG_ZERO) if k == n else (LOG_ZERO, 0.0)
     j = np.arange(n + 1, dtype=np.float64)
     log_pmf = log_binomial_coefficients(n) + j * math.log(p) + (n - j) * math.log1p(-p)
-    log_cdf = min(log_sum_exp(log_pmf[: k + 1]), 0.0)
-    log_tail = min(log_sum_exp(log_pmf[k + 1 :]), 0.0)
-    return log_cdf, log_tail
+    log_tail = log_sum_exp(log_pmf[k + 1 :])
+    if log_tail < -_LN2:
+        return log1mexp(log_tail), log_tail
+    log_cdf = log_sum_exp(log_pmf[: k + 1])
+    return log_cdf, log1mexp(log_cdf)
 
 
 def kl_divergence(q: RateLike, p: RateLike) -> float:

@@ -93,19 +93,23 @@ def _feasibility(tag: str, threshold, rate,
                  delta_target: RateLike) -> Callable[[CommitteeLayout], bool]:
     """Whether a layout's delta by the analytic method ``tag`` is at most the target.
 
-    Sizing builds it for a model's exact tag, sweep-n for any tag; it rejects an
-    adversary rate at or above the threshold.  A tag with no law in ``METHODS``
-    is decided by its evaluator.  With T_g the law's tail of one committee of
-    run g, 1 - prod_g (1 - T_g)^m_g <= delta <= sum_g m_g T_g (equal on the left
-    for binomial counts, on the right for union-hyper-exact; exactly-M counts
-    are negatively associated, Joag-Dev & Proschan 1983).  A layout is settled
-    by the first step that can: that left end over the heads past the target,
-    the sandwich, or the evaluator, each within a rounding margin on log delta.
+    Sizing builds it for a model's exact tag, sweep-n for any analytic tag; it
+    rejects a tag with no evaluator and an adversary rate at or above the
+    threshold.  A tag with no law is decided by its evaluator.  With T_g the
+    law's tail of one committee of run g, 1 - prod_g (1 - T_g)^m_g <= delta <=
+    sum_g m_g T_g (equal on the left for binomial counts, on the right for
+    union-hyper-exact; exactly-M counts are negatively associated, Joag-Dev &
+    Proschan 1983).  A layout is settled by the first step that can: that left
+    end over the heads past the target, the sandwich, or the evaluator, each
+    within a rounding margin on log delta.
     """
+    method = METHODS.get(tag)
+    if method is None or method.evaluate is None:
+        raise ValueError(f"no analytic method {tag!r} to size by")
     if rate_as_float(rate, "adversary_rate") >= rate_as_float(threshold, "threshold"):
         raise ValueError("sizing needs adversary_rate below threshold")
     target = _validate_target(delta_target)
-    law = METHODS[tag].law
+    law = method.law
     if law is None:
         return lambda layout: _delta(layout, tag, threshold, rate) <= target
     bind, head, tail = law(rate)

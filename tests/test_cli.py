@@ -674,6 +674,9 @@ class TestMonteCarloSweepDeterminism:
 # rows of bounds-float-rates, bounds-frac and delta-split, and the
 # exact-hypergeometric row of delta-split.  Each moved toward the exact
 # value or stayed at its rounding level; CHANGES.md lists the errors.
+# Three entries were re-recorded when the near-1 side of a binomial split and
+# exactly-M log delta at delta >= 1/2 became log1mexp of the side below 1/2:
+# bounds-precond, delta-layout and sweep-k (CHANGES.md lists the cells).
 _GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 
 

@@ -326,6 +326,51 @@ class TestDeepTail:
             assert -2724.0 < float(rows[tag][2]) < -2718.0, tag
 
 
+def mp_log_cdf(n, p, cap):
+    """log P(Binomial(n, p) <= cap) in mpmath, as log1p of minus the tail
+    where the CDF is the larger side."""
+    pmf = [mpmath.binomial(n, j) * p ** j * (1 - p) ** (n - j) for j in range(n + 1)]
+    cdf, tail = mpmath.fsum(pmf[: cap + 1]), mpmath.fsum(pmf[cap + 1:])
+    return mpmath.log1p(-tail) if tail < cdf else mpmath.log(cdf)
+
+
+class TestNearOne:
+    """Near delta = 1, log delta keeps its relative accuracy.  The
+    exact-binomial values had been off by 3.4%, 10.6% and 7.1e-5 and the
+    1e12-committee log survival by 4.2e-5; exactly-M printed 0.0, 0.0 and
+    a value off by 6.6e-7."""
+
+    @pytest.mark.parametrize("runs, rate, field", [
+        (((30, 1),), Fraction(9, 10), "log_delta"),  # -1.1057e-13
+        (((30, 3),), Fraction(9, 10), "log_delta"),  # -1.3516e-39
+        (((300, 1),), Fraction(1, 2), "log_delta"),  # -4.0074e-9
+        (((100, 10 ** 12),), Fraction(1, 10), "log_survival"),  # -69.958
+    ])
+    def test_exact_binomial_matches_mpmath(self, runs, rate, field):
+        layout = CommitteeLayout.from_runs(runs)
+        got = delta_exact_binomial(FailureQuery(layout, AverageAdversary(rate), THIRD))
+        with mpmath.workdps(60):
+            p = mpmath.mpf(rate.numerator) / rate.denominator
+            log_survival = mpmath.fsum(mult * mp_log_cdf(size, p, cap)
+                                       for size, mult, cap in layout.allowances(THIRD))
+            want = float(log_survival if field == "log_survival"
+                         else mpmath.log(-mpmath.expm1(log_survival)))
+        assert getattr(got, field) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("nodes, committees, count", [
+        (2000, 200, 600),  # log delta -9.0582e-114
+        (7500, 1000, 750),  # -2.3295e-17
+        (5000, 700, 500),  # -1.5119e-10
+    ])
+    def test_exact_m_matches_integer_oracle(self, nodes, committees, count):
+        layout = layout_from_split(nodes, committees)
+        got = delta_exact_hypergeometric(FailureQuery(layout, ExactAdversary(count), THIRD))
+        _, surviving, total = exact_m_failure_survival(layout.runs, count, THIRD)
+        with mpmath.workdps(60):
+            want = float(mpmath.log1p(-mpmath.mpf(surviving) / total))
+        assert got.log_delta == pytest.approx(want, rel=1e-11, abs=0.0)
+
+
 class TestTheorem1Bounds:
     def test_sandwich_on_two_committees(self):
         query = avg_query((5, 5), 0.25)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shardrisk.probcore import (
@@ -84,6 +84,12 @@ class TestLogFactorial:
                                         for v in k.ravel().tolist()]
 
 
+@st.composite
+def binomial_splits(draw):
+    n = draw(st.integers(min_value=1, max_value=2000))
+    return n, draw(st.integers(min_value=0, max_value=n))
+
+
 class TestBinomialTailAndCdf:
     def test_small_split(self):
         log_cdf, log_tail = binomial_tail_and_cdf(5, 0.25, 1)
@@ -125,6 +131,29 @@ class TestBinomialTailAndCdf:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             binomial_tail_and_cdf(4, 0.5, 5)
+
+    @pytest.mark.parametrize("n", [1, 7, 60, 500, 2000])
+    @pytest.mark.parametrize("p", [1e-9, 1e-3, 0.3, 0.5, 0.97, 1 - 1e-6])
+    def test_matches_mpmath(self, n, p):
+        # both logs to 1e-11 relative, the side near 1 included: the larger
+        # side's log is log1p of minus the smaller side, summed in mpmath
+        with mpmath.workdps(50):
+            q = mpmath.mpf(p)
+            pmf = [mpmath.binomial(n, j) * q ** j * (1 - q) ** (n - j) for j in range(n + 1)]
+            for k in sorted({0, 1, int(n * p), n // 3, n // 2, n - 1, n}):
+                cdf, tail = mpmath.fsum(pmf[: k + 1]), mpmath.fsum(pmf[k + 1:])
+                want = [float(mpmath.log1p(-other) if side > other else mpmath.log(side))
+                        if side > 0 else LOG_ZERO for side, other in ((cdf, tail), (tail, cdf))]
+                got = binomial_tail_and_cdf(n, p, k)
+                assert got == pytest.approx(want, rel=1e-11, abs=0.0), (k, got, want)
+
+    @given(split=binomial_splits(), p=st.floats(min_value=0.0, max_value=1.0))
+    @example(split=(1, 0), p=0.5)  # each side exactly 1/2
+    @settings(max_examples=300, deadline=None)
+    def test_larger_side_is_log1mexp_of_the_smaller(self, split, p):
+        n, k = split
+        smaller, larger = sorted(binomial_tail_and_cdf(n, p, k))
+        assert larger == log1mexp(smaller)
 
 
 class TestKLDivergence:

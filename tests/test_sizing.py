@@ -186,6 +186,12 @@ class TestMinCommitteeSize:
         with pytest.raises(ValueError, match="committees must be positive"):
             scan_committee_size(0, 1e-3, THIRD, 0.25, "union-fixed")
 
+    @pytest.mark.parametrize("tag", ["monte-carlo-exact", "no-such-tag"])
+    def test_scan_rejects_tag_without_evaluator(self, tag):
+        # a Monte Carlo tag has no evaluator, and an unknown tag no method
+        with pytest.raises(ValueError, match=f"no analytic method '{tag}'"):
+            scan_committee_size(10, 1e-3, THIRD, Fraction(1, 10), tag)
+
     def test_size_at_the_scan_limit_needs_no_successor(self, monkeypatch):
         first, _ = scan_average_committee_size(4, 1e-3, 0.25)
         monkeypatch.setattr(sizing, "MAX_SIZE", first)
