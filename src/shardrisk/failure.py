@@ -11,15 +11,15 @@ higher.  This module evaluates the probability of that event
 * through Chernoff-type sandwich bounds built on the Ash binomial-tail
   inequalities and the Ferrante refinement,
 * through union (Boole) bounds for all three sampling scenarios, including
-  the Hoeffding form for the hypergeometric model.
+  the exact per-committee tail sum and the Hoeffding form under exactly-M.
 
 Every evaluator reads the layout's run table, ``CommitteeLayout.allowances``,
 of (size, multiplicity, allowed count).  The seven KL-type bounds are the
-rows of one table, ``_KL_BOUNDS``, of per-committee formulas, the adversary
-model each reads its rate from and how they combine, and one walk over the
-run table, ``_kl_bound``, evaluates each.  Each exact per-committee tail law
-(``_binomial_law``, ``_hypergeometric_law``) is defined here once, beside the
-tails its evaluators read; the method registry hands it to sizing.
+rows of one table, ``_KL_BOUNDS``, walked by ``_kl_bound``.  Each exact
+per-committee tail law (``_binomial_law``, ``_hypergeometric_law``) is defined
+here once, and the method registry hands it to sizing.  Both sum their tails
+by ``probcore.windowed_log_sum`` over the O(sd) terms within 750 of the
+largest; only the exactly-M FFT reads rows of every count.
 
 Bounds can exceed 1; they are clamped with a diagnostic flag instead of
 being rejected, so parameter sweeps never abort.  Preconditions of the
@@ -53,6 +53,7 @@ from .probcore import (
     log_sum_exp,
     rate_as_float,
     stable_complement_product,
+    windowed_log_sum,
 )
 
 __all__ = [
@@ -592,23 +593,20 @@ def union_bound_random_sizes(query: FailureQuery) -> tuple[DeltaResult, DeltaRes
 
 
 def _marginal_log_tail(size: int, total: int, m: int, cap: int) -> float:
-    """log P(count > cap) for one committee under the exactly-M model.
-
-    Sums C(size, j) C(total - size, m - j) / C(total, m) over the counts
-    j > cap in its support, as one row of ln k! terms.
-    """
+    """log P(count > cap) for one committee under the exactly-M model: ln C(size, j)
+    C(total - size, m - j) / C(total, m), capped at 0, summed over the failing
+    counts j by ``windowed_log_sum``, with one ln k! call for all six arguments."""
     rest = total - size
-    lo = max(cap + 1, m - rest)
-    hi = min(size, m)
-    if lo > hi:
-        return LOG_ZERO
-    j = np.arange(lo, hi + 1, dtype=np.float64)
-    # one ln k! call for all six arguments: each call has a fixed numpy overhead
-    lf = log_factorial(np.concatenate(((size, rest), j, size - j, m - j, rest - m + j)))
-    lf_j, lf_size_j, lf_m_j, lf_rest_j = lf[2:].reshape(4, j.size)
-    terms = (lf[0] - lf_j - lf_size_j + lf[1] - lf_m_j - lf_rest_j
-             - log_binomial_coefficient(total, m))
-    return min(log_sum_exp(np.minimum(terms, 0.0)), 0.0)
+
+    def log_terms(j):
+        lf = log_factorial(np.concatenate(((size, rest), j, size - j, m - j, rest - m + j)))
+        lf_j, lf_size_j, lf_m_j, lf_rest_j = lf[2:].reshape(4, j.size)
+        return np.minimum(lf[0] - lf_j - lf_size_j + lf[1] - lf_m_j - lf_rest_j
+                          - log_binomial_coefficient(total, m), 0.0)
+
+    sd = math.sqrt(size * m * (total - m) * rest / max(total - 1, 1)) / total
+    return min(windowed_log_sum(log_terms, max(cap + 1, m - rest), min(size, m),
+                                (size + 1) * (m + 1) / (total + 2), sd), 0.0)
 
 
 def _union_hyper_exact(query: FailureQuery) -> DeltaResult:

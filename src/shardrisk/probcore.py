@@ -33,6 +33,7 @@ __all__ = [
     "log_sum_exp",
     "rate_as_float",
     "stable_complement_product",
+    "windowed_log_sum",
 ]
 
 #: Log-domain representation of probability zero.
@@ -162,7 +163,7 @@ def log_factorial(k) -> np.ndarray:
 
 @lru_cache(maxsize=512)
 def log_binomial_coefficients(n: int) -> np.ndarray:
-    """Read-only vector of ln C(n, j) for j = 0..n."""
+    """Read-only vector of ln C(n, j) for j = 0..n: the rows of the exactly-M FFT."""
     n = _check_count(n, "n")
     lf = log_factorial(np.arange(n + 1, dtype=np.float64))
     row = lf[n] - lf - lf[::-1]
@@ -170,14 +171,30 @@ def log_binomial_coefficients(n: int) -> np.ndarray:
     return row
 
 
+def windowed_log_sum(log_terms, lo: int, hi: int, mode: float, sd: float) -> float:
+    """``log_sum_exp`` of log-concave terms log_terms(j), j = lo..hi (float64 counts
+    in, terms out), built only within 750 of the largest: from ``mode`` clamped to
+    [lo, hi], 40 ``sd`` + 16 counts each way, doubled until each end is below that
+    cut or at its range end.  ``log_sum_exp`` adds any term more than 745.14 below
+    its largest as 0.0, so this is the full row's sum to the bit."""
+    centre, width = min(max(int(mode), lo), hi), int(40.0 * sd) + 16
+    while lo <= hi:
+        a, b = max(lo, centre - width), min(hi, centre + width)
+        terms = log_terms(np.arange(a, b + 1, dtype=np.float64))
+        cut = float(terms.max()) - 750.0
+        if (a == lo or terms[0] < cut) and (b == hi or terms[-1] < cut):
+            return log_sum_exp(terms)
+        width *= 2
+    return LOG_ZERO  # the empty range
+
+
 def binomial_tail_and_cdf(n: int, p: RateLike, k: int) -> tuple[float, float]:
     """Log CDF and log upper tail of Binomial(n, p) split at k.
 
-    Returns ``(log P(X <= k), log P(X >= k + 1))``.  The side below 1/2 is
-    a log-sum-exp of its pmf terms, the other side log1mexp of it: the tail
-    is summed, and the CDF only where the tail is at least 1/2.  So each log
-    keeps full relative accuracy and the two probabilities are complementary.
-    """
+    Returns ``(log P(X <= k), log P(X >= k + 1))``.  The tail, or the CDF where the
+    tail is at least 1/2, is summed by ``windowed_log_sum`` in O(sqrt(n p (1 - p)))
+    work; the other side is log1mexp of it.  So each log keeps full relative
+    accuracy, and the two probabilities are complementary."""
     n = _check_count(n, "n")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -189,12 +206,17 @@ def binomial_tail_and_cdf(n: int, p: RateLike, k: int) -> tuple[float, float]:
         return 0.0, LOG_ZERO
     if p == 1.0:
         return (0.0, LOG_ZERO) if k == n else (LOG_ZERO, 0.0)
-    j = np.arange(n + 1, dtype=np.float64)
-    log_pmf = log_binomial_coefficients(n) + j * math.log(p) + (n - j) * math.log1p(-p)
-    log_tail = log_sum_exp(log_pmf[k + 1 :])
+    log_p, log_q = math.log(p), math.log1p(-p)
+
+    def log_pmf(j):  # ln C(n, j) + j ln p + (n - j) ln(1 - p)
+        lf = log_factorial(np.concatenate(((n,), j, n - j)))
+        return lf[0] - lf[1:j.size + 1] - lf[j.size + 1:] + j * log_p + (n - j) * log_q
+
+    mode, sd = (n + 1) * p, math.sqrt(n * p * (1.0 - p))
+    log_tail = windowed_log_sum(log_pmf, k + 1, n, mode, sd)
     if log_tail < -_LN2:
         return log1mexp(log_tail), log_tail
-    log_cdf = log_sum_exp(log_pmf[: k + 1])
+    log_cdf = windowed_log_sum(log_pmf, 0, k, mode, sd)
     return log_cdf, log1mexp(log_cdf)
 
 

@@ -8,7 +8,8 @@ log-pmfs of the partition family, the failure threshold, one-draw count
 samplers, the series expansions of the size-bracket budget and the scalar f_tilde
 loop, the
 per-committee sequence of a layout and the per-committee form of the
-random-size union bounds.
+random-size union bounds, and the full-row tail sums that the windowed
+ones replaced.
 """
 
 from __future__ import annotations
@@ -27,8 +28,10 @@ from shardrisk.probcore import (
     RateLike,
     floor_rate_multiple,
     kl_divergence,
+    log1mexp,
     log_binomial_coefficient,
     log_binomial_coefficients,
+    log_factorial,
     log_sum_exp,
     rate_as_float,
 )
@@ -514,3 +517,34 @@ def f_tilde_loop(a: float, p: float, limit: int) -> tuple[float, int]:
         if value > best:
             best, best_n = value, n
     return best, best_n
+
+
+def full_row_binomial_split(n: int, p: float, k: int) -> tuple[float, float]:
+    """(log CDF, log tail) of Binomial(n, p) at k from the whole pmf row of n + 1
+    terms: ``binomial_tail_and_cdf`` before its window, for 0 < p < 1.  The row
+    of ln C(n, j) is built here, as ``log_binomial_coefficients`` builds it, so
+    that no row enters that function's cache."""
+    j = np.arange(n + 1, dtype=np.float64)
+    lf = log_factorial(j)
+    log_pmf = lf[n] - lf - lf[::-1] + j * math.log(p) + (n - j) * math.log1p(-p)
+    log_tail = log_sum_exp(log_pmf[k + 1 :])
+    if log_tail < -math.log(2.0):
+        return log1mexp(log_tail), log_tail
+    log_cdf = log_sum_exp(log_pmf[: k + 1])
+    return log_cdf, log1mexp(log_cdf)
+
+
+def full_row_marginal_log_tail(size: int, total: int, m: int, cap: int) -> float:
+    """log P(count > cap) of one committee under exactly-M from the row of every
+    failing count: ``failure._marginal_log_tail`` before its window."""
+    rest = total - size
+    lo = max(cap + 1, m - rest)
+    hi = min(size, m)
+    if lo > hi:
+        return LOG_ZERO
+    j = np.arange(lo, hi + 1, dtype=np.float64)
+    lf = log_factorial(np.concatenate(((size, rest), j, size - j, m - j, rest - m + j)))
+    lf_j, lf_size_j, lf_m_j, lf_rest_j = lf[2:].reshape(4, j.size)
+    terms = (lf[0] - lf_j - lf_size_j + lf[1] - lf_m_j - lf_rest_j
+             - log_binomial_coefficient(total, m))
+    return min(log_sum_exp(np.minimum(terms, 0.0)), 0.0)
