@@ -17,9 +17,11 @@ Every evaluator reads the layout's run table, ``CommitteeLayout.allowances``,
 of (size, multiplicity, allowed count).  The seven KL-type bounds are the
 rows of one table, ``_KL_BOUNDS``, walked by ``_kl_bound``.  Each exact
 per-committee tail law (``_binomial_law``, ``_hypergeometric_law``) is defined
-here once, and the method registry hands it to sizing.  Both sum their tails
-by ``probcore.windowed_log_sum`` over the O(sd) terms within 750 of the
-largest; only the exactly-M FFT reads rows of every count.
+here once, sums its tails by ``probcore.windowed_log_sum`` over the O(sd) terms
+within 750 of the largest, and reaches sizing through the method registry.
+``_log_sandwich`` takes per-run tails to the ends of 1 - prod_g (1 - T_g)^m_g
+<= delta <= sum_g m_g T_g: exact-binomial reads the left, union-hyper-exact the
+right, and the exactly-M evaluator picks the side it transforms from the left.
 
 Bounds can exceed 1; they are clamped with a diagnostic flag instead of
 being rejected, so parameter sweeps never abort.  Preconditions of the
@@ -134,7 +136,8 @@ def _result(method, raw_log_delta, log_survival=None, *, clamped=None,
 
 @lru_cache(maxsize=65536)
 def _binomial_split_cached(size: int, rate: float, cap: int) -> tuple[float, float]:
-    return binomial_tail_and_cdf(size, rate, cap)
+    """(log CDF, log tail) of one committee of a run at its allowed count."""
+    return binomial_tail_and_cdf(size, rate, cap) if cap < size else (0.0, LOG_ZERO)
 
 
 def _require_average(query: FailureQuery) -> float:
@@ -153,21 +156,16 @@ def delta_exact_binomial(query: FailureQuery) -> DeltaResult:
     """Exact failure probability under the independent-rate model.
 
     One minus the product of per-committee binomial CDFs at the allowed
-    counts, accumulated from the tails by the stable complement product.
+    counts: the lower end of ``_log_sandwich`` over the binomial tails.
     The survival side, a sum of CDF logs, is accurate only in absolute
     terms, so it is returned only where delta is at least 1/2; below that,
     log_survival is log1mexp(log delta), which keeps full relative accuracy.
     """
     rate = _require_average(query)
-    log_survival = 0.0
-    log_tails: list[tuple[float, int]] = []
-    for size, mult, cap in query.layout.allowances(query.threshold):
-        if cap >= size:
-            continue  # committee can never fail at this threshold
-        log_cdf, log_tail = _binomial_split_cached(size, rate, cap)
-        log_survival += mult * log_cdf
-        log_tails.append((log_tail, mult))
-    log_delta = stable_complement_product(log_tails)
+    splits = [(_binomial_split_cached(size, rate, cap), mult)
+              for size, mult, cap in query.layout.allowances(query.threshold)]
+    log_delta, _ = _log_sandwich([(log_tail, mult) for (_, log_tail), mult in splits])
+    log_survival = sum(mult * log_cdf for (log_cdf, _), mult in splits)
     return _result("exact-binomial", log_delta,
                    log_survival if log_delta >= -_LN2 else None, clamped=False)
 
@@ -470,23 +468,26 @@ def delta_exact_hypergeometric(query: FailureQuery) -> DeltaResult:
     allowed counts (see above), and survival that of the truncated product,
     each normalised by C(N, M).  Survival is read only where delta is at
     least 1/2, and log delta is then log1mexp of it; below 1/2,
-    log1mexp(log delta) is the more accurate survival log.  Each side is
-    read from FFTs of length L, a fast length above max(M, D - M) with
-    D <= N the degree of the truncated product, at its own saddle-point
-    tilt found by a safeguarded Newton search on the tilted mean:
-    O(groups * L log L) time and O(L) memory at any node count.
-    Two answers are exact and need no transform: 0 when no committee can
-    exceed its allowance, 1 when M exceeds the total allowance.
+    log1mexp(log delta) is the more accurate survival log.  Where the lower
+    end of ``_log_sandwich`` over the marginal tails puts delta above 1/2,
+    failure is not transformed.  Each side is read from FFTs of length L, a
+    fast length above max(M, D - M) with D <= N the degree of the truncated
+    product, at its own saddle-point tilt found by a safeguarded Newton
+    search on the tilted mean: O(groups * L log L) time and O(L) memory at
+    any node count.  Two answers are exact and need no transform: 0 when no
+    committee can exceed its allowance, 1 when M exceeds the total allowance.
     """
     m = _require_exact(query)
     layout = query.layout
     n_total = layout.total
     runs = [(size, mult, min(size, m), min(cap, size, m))
             for size, mult, cap in layout.allowances(query.threshold)]
-    if all(cap == top for _, _, top, cap in runs):
-        return _result("exact-hypergeometric", LOG_ZERO, 0.0, clamped=False)
     if m > sum(mult * cap for _, mult, _, cap in runs):
         return _result("exact-hypergeometric", 0.0, LOG_ZERO, clamped=False)
+    lower, upper = _log_sandwich([(_marginal_log_tail(size, n_total, m, cap), mult)
+                                  for size, mult, _, cap in runs])
+    if upper == LOG_ZERO:
+        return _result("exact-hypergeometric", LOG_ZERO, 0.0, clamped=False)
     degree = sum(mult * top for _, mult, top, _ in runs)
     # no z^(M +- L) term exists, so the length-L circular product has no alias at z^M
     length = _next_fast_len(max(m, degree - m) + 1)
@@ -494,8 +495,9 @@ def delta_exact_hypergeometric(query: FailureQuery) -> DeltaResult:
     groups = _cap_groups(runs)
     log_norm = log_binomial_coefficient(n_total, m)
     u0 = math.log(m / (n_total - m))
-    log_delta = _log_failure(groups, m, *_saddle_tilt(groups, m, u0, "fail"),
-                             length, log_norm)
+    # past ln 1/2 by 2^-20 (400x the largest FFT-to-tails gap), the lower end puts delta > 1/2
+    log_delta = 0.0 if lower > -_LN2 + 2.0 ** -20 else _log_failure(
+        groups, m, *_saddle_tilt(groups, m, u0, "fail"), length, log_norm)
     log_survival = None  # below 1/2, log1mexp(log delta) of _result
     if log_delta >= -_LN2:
         log_survival = _log_survival(groups, m, *_saddle_tilt(groups, m, u0, "surv"),
@@ -613,9 +615,9 @@ def _union_hyper_exact(query: FailureQuery) -> DeltaResult:
     """Union bound under exactly-M: the sum of exact per-committee marginal tails."""
     m = _require_exact(query)
     n_total = query.layout.total
-    terms = [math.log(mult) + _marginal_log_tail(size, n_total, m, cap)
+    tails = [(_marginal_log_tail(size, n_total, m, cap), mult)
              for size, mult, cap in query.layout.allowances(query.threshold)]
-    return _result("union-hyper-exact", log_sum_exp(terms))
+    return _result("union-hyper-exact", _log_sandwich(tails)[1])
 
 
 def union_bound_hypergeometric(query: FailureQuery) -> tuple[DeltaResult, DeltaResult]:
@@ -642,6 +644,14 @@ def _log_tail_head(log_first: float, first: int, stop: int,
     return min(log_first + math.log(s), 0.0)
 
 
+def _log_sandwich(log_tails: Sequence[tuple[float, int]]) -> tuple[float, float]:
+    """(log lower, log upper) of 1 - prod_g (1 - T_g)^m_g <= delta <= sum_g m_g T_g from
+    per-run (log T_g, m_g), T_g one committee's tail: equal on the left for binomial counts,
+    a bound for exactly-M ones, which are negatively associated (Joag-Dev & Proschan 1983)."""
+    return (stable_complement_product(log_tails),
+            log_sum_exp([math.log(mult) + t for t, mult in log_tails]))
+
+
 def _binomial_law(rate) -> tuple:
     """Binomial(size, P) counts, the law of ``exact-binomial``: bind(layout) ->
     (key, log-term magnitude); head(key, size, cap, goal), a lower bound on the
@@ -663,8 +673,7 @@ def _binomial_law(rate) -> tuple:
         return log_first if log_first > goal else _log_tail_head(
             log_first, j, size, lambda i: (size - i) / (i + 1) * odds, goal)
 
-    return bind, head, lambda _, size, cap: (  # the tails delta_exact_binomial sums
-        _binomial_split_cached(size, p, cap)[1] if cap < size else LOG_ZERO)
+    return bind, head, lambda _, size, cap: _binomial_split_cached(size, p, cap)[1]
 
 
 def _hypergeometric_law(rate) -> tuple:

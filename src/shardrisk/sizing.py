@@ -24,16 +24,10 @@ from typing import Callable
 import numpy as np
 
 # perfbench's tracer self-test checks that sizing.delta_exact_binomial is restored
-from .failure import delta_exact_binomial  # noqa: F401
+from .failure import _log_sandwich, delta_exact_binomial  # noqa: F401
 from .methods import EXACT_TAGS, METHODS, method_query
 from .partitions import CommitteeLayout, layout_from_split
-from .probcore import (
-    RateLike,
-    kl_divergence,
-    log_sum_exp,
-    rate_as_float,
-    stable_complement_product,
-)
+from .probcore import RateLike, kl_divergence, rate_as_float, stable_complement_product
 
 # largest committee size the sizing scan tries
 MAX_SIZE = 1_000_000
@@ -95,13 +89,11 @@ def _feasibility(tag: str, threshold, rate,
 
     Sizing builds it for a model's exact tag, sweep-n for any analytic tag; it
     rejects a tag with no evaluator and an adversary rate at or above the
-    threshold.  A tag with no law is decided by its evaluator.  With T_g the
-    law's tail of one committee of run g, 1 - prod_g (1 - T_g)^m_g <= delta <=
-    sum_g m_g T_g (equal on the left for binomial counts, on the right for
-    union-hyper-exact; exactly-M counts are negatively associated, Joag-Dev &
-    Proschan 1983).  A layout is settled by the first step that can: that left
-    end over the heads past the target, the sandwich, or the evaluator, each
-    within a rounding margin on log delta.
+    threshold.  A tag with no law is decided by its evaluator.  A layout is
+    settled by the first step that can: 1 - prod_g (1 - H_g)^m_g past the
+    target, with H_g <= T_g the law's head and tail of one committee of run g;
+    ``failure._log_sandwich`` over the tails; or the evaluator, each within a
+    rounding margin on log delta.
     """
     method = METHODS.get(tag)
     if method is None or method.evaluate is None:
@@ -124,12 +116,11 @@ def _feasibility(tag: str, threshold, rate,
         if stable_complement_product([(head(key, size, cap, goal), mult)
                                       for size, mult, cap in runs]) > log_target + margin:
             return False
-        tails = [(tail(key, size, cap), mult) for size, mult, cap in runs]
-        if log_sum_exp([math.log(mult) + t for t, mult in tails]) < log_target - margin:
+        lower, upper = _log_sandwich([(tail(key, size, cap), mult)
+                                      for size, mult, cap in runs])
+        if upper < log_target - margin:
             return True
-        if stable_complement_product(tails) > log_target + margin:
-            return False
-        return _delta(layout, tag, threshold, rate) <= target
+        return lower <= log_target + margin and _delta(layout, tag, threshold, rate) <= target
 
     return feasible
 

@@ -8,8 +8,9 @@ log-pmfs of the partition family, the failure threshold, one-draw count
 samplers, the series expansions of the size-bracket budget and the scalar f_tilde
 loop, the
 per-committee sequence of a layout and the per-committee form of the
-random-size union bounds, and the full-row tail sums that the windowed
-ones replaced.
+random-size union bounds, the full-row tail sums that the windowed
+ones replaced, and the exactly-M evaluator that always transforms the
+failure side first.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from shardrisk.failure import FailureQuery
+from shardrisk import failure
+from shardrisk.failure import DeltaResult, FailureQuery
 from shardrisk.partitions import CommitteeLayout
 from shardrisk.probcore import (
     LOG_ZERO,
@@ -548,3 +550,33 @@ def full_row_marginal_log_tail(size: int, total: int, m: int, cap: int) -> float
     terms = (lf[0] - lf_j - lf_size_j + lf[1] - lf_m_j - lf_rest_j
              - log_binomial_coefficient(total, m))
     return min(log_sum_exp(np.minimum(terms, 0.0)), 0.0)
+
+
+def delta_exact_hypergeometric_failure_first(query: FailureQuery) -> DeltaResult:
+    """``failure.delta_exact_hypergeometric`` as it was before it read the
+    sandwich: the failure transform on every layout that can fail, and the
+    survival transform too where that gives delta >= 1/2.  It shares the
+    transforms, so it checks the choice of side, not their arithmetic."""
+    m = failure._require_exact(query)
+    layout = query.layout
+    n_total = layout.total
+    runs = [(size, mult, min(size, m), min(cap, size, m))
+            for size, mult, cap in layout.allowances(query.threshold)]
+    if all(cap == top for _, _, top, cap in runs):
+        return failure._result("exact-hypergeometric", LOG_ZERO, 0.0, clamped=False)
+    if m > sum(mult * cap for _, mult, _, cap in runs):
+        return failure._result("exact-hypergeometric", 0.0, LOG_ZERO, clamped=False)
+    degree = sum(mult * top for _, mult, top, _ in runs)
+    length = failure._next_fast_len(max(m, degree - m) + 1)
+    failure._check_memory(length, sum(top + 1 for _, _, top, _ in runs))
+    groups = failure._cap_groups(runs)
+    log_norm = log_binomial_coefficient(n_total, m)
+    u0 = math.log(m / (n_total - m))
+    log_delta = failure._log_failure(
+        groups, m, *failure._saddle_tilt(groups, m, u0, "fail"), length, log_norm)
+    log_survival = None
+    if log_delta >= -math.log(2.0):
+        log_survival = failure._log_survival(
+            groups, m, *failure._saddle_tilt(groups, m, u0, "surv"), length, log_norm)
+        log_delta = log1mexp(log_survival)
+    return failure._result("exact-hypergeometric", log_delta, log_survival, clamped=False)

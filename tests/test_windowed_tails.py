@@ -22,11 +22,10 @@ from hypothesis import strategies as st
 from oracles import full_row_binomial_split, full_row_marginal_log_tail
 from shardrisk import failure, probcore
 from shardrisk.cli import main
-from shardrisk.failure import _hypergeometric_law, _marginal_log_tail
+from shardrisk.failure import _hypergeometric_law, _log_sandwich, _marginal_log_tail
 from shardrisk.methods import METHODS, method_query
 from shardrisk.partitions import CommitteeLayout
-from shardrisk.probcore import (LOG_ZERO, binomial_tail_and_cdf, stable_complement_product,
-                                windowed_log_sum)
+from shardrisk.probcore import LOG_ZERO, binomial_tail_and_cdf, windowed_log_sum
 
 # -------------------------------------------------------------------------
 # the same bits as the full rows
@@ -232,7 +231,7 @@ def test_tag_orderings(case):
         "exact-hypergeometric", "union-hyper-exact", "union-hyper-hoeffding"))
     bind, _, tail = _hypergeometric_law(rate)
     key, _ = bind(layout)
-    na_lower = stable_complement_product(
+    na_lower, _ = _log_sandwich(
         [(tail(key, size, cap), mult) for size, mult, cap in layout.allowances(threshold)])
     assert_chain([na_lower] + [exact[tag].raw_log_delta for tag in (
         "exact-hypergeometric", "union-hyper-exact", "union-hyper-hoeffding")], slack)
