@@ -14,14 +14,16 @@ higher.  This module evaluates the probability of that event
   the exact per-committee tail sum and the Hoeffding form under exactly-M.
 
 Every evaluator reads the layout's run table, ``CommitteeLayout.allowances``,
-of (size, multiplicity, allowed count).  The seven KL-type bounds are the
-rows of one table, ``_KL_BOUNDS``, walked by ``_kl_bound``.  Each exact
+of (size, multiplicity, allowed count).  ``_log_lower`` and ``_log_upper`` take
+per-run tails to the ends of 1 - prod_g (1 - T_g)^m_g <= delta <= sum_g m_g T_g.
+The eight bounds are the rows of one table, ``_BOUNDS``, each a model, an end
+and a per-committee log term, walked by ``_bound``: the Theorem 1 sandwich reads
+the lower end over KL terms, the union bounds the upper end over KL terms or
+exact marginal tails.  Exact-binomial reads the lower end over binomial tails,
+and the exactly-M evaluator picks the side it transforms from it.  Each exact
 per-committee tail law (``_binomial_law``, ``_hypergeometric_law``) is defined
 here once, sums its tails by ``probcore.windowed_log_sum`` over the O(sd) terms
 within 750 of the largest, and reaches sizing through the method registry.
-``_log_sandwich`` takes per-run tails to the ends of 1 - prod_g (1 - T_g)^m_g
-<= delta <= sum_g m_g T_g: exact-binomial reads the left, union-hyper-exact the
-right, and the exactly-M evaluator picks the side it transforms from the left.
 
 Bounds can exceed 1; they are clamped with a diagnostic flag instead of
 being rejected, so parameter sweeps never abort.  Preconditions of the
@@ -152,11 +154,23 @@ def _require_exact(query: FailureQuery) -> int:
     return query.adversary.count
 
 
+def _log_lower(log_tails: Sequence[tuple[float, int]]) -> float:
+    """log(1 - prod_g (1 - T_g)^m_g) from per-run (log T_g, m_g), each T_g capped at 1:
+    delta for binomial counts, a lower bound for exactly-M ones, which are negatively
+    associated (Joag-Dev & Proschan 1983)."""
+    return stable_complement_product([(min(t, 0.0), mult) for t, mult in log_tails])
+
+
+def _log_upper(log_tails: Sequence[tuple[float, int]]) -> float:
+    """log sum_g m_g T_g from per-run (log T_g, m_g): the union bound on delta."""
+    return log_sum_exp([math.log(mult) + t for t, mult in log_tails])
+
+
 def delta_exact_binomial(query: FailureQuery) -> DeltaResult:
     """Exact failure probability under the independent-rate model.
 
     One minus the product of per-committee binomial CDFs at the allowed
-    counts: the lower end of ``_log_sandwich`` over the binomial tails.
+    counts: ``_log_lower`` over the binomial tails.
     The survival side, a sum of CDF logs, is accurate only in absolute
     terms, so it is returned only where delta is at least 1/2; below that,
     log_survival is log1mexp(log delta), which keeps full relative accuracy.
@@ -164,7 +178,7 @@ def delta_exact_binomial(query: FailureQuery) -> DeltaResult:
     rate = _require_average(query)
     splits = [(_binomial_split_cached(size, rate, cap), mult)
               for size, mult, cap in query.layout.allowances(query.threshold)]
-    log_delta, _ = _log_sandwich([(log_tail, mult) for (_, log_tail), mult in splits])
+    log_delta = _log_lower([(log_tail, mult) for (_, log_tail), mult in splits])
     log_survival = sum(mult * log_cdf for (log_cdf, _), mult in splits)
     return _result("exact-binomial", log_delta,
                    log_survival if log_delta >= -_LN2 else None, clamped=False)
@@ -299,8 +313,21 @@ def _tilt_moments(groups: Sequence[_CapGroup], u: float) -> _TiltMoments:
                         total_mean, total_var, log_total, log_ratio)
 
 
-def _cap_groups(runs) -> list[_CapGroup]:
-    """Groups from (size, mult, top, cap) runs: rows of ln C(size, j), j <= top."""
+def _cap_groups(runs, length: int = 0) -> list[_CapGroup]:
+    """Groups from (size, mult, top, cap) runs: rows of ln C(size, j), j <= top.
+
+    Refuses, before building any, rows and a length-``length`` transform whose
+    arrays would not fit in physical memory.  Peaks of 96 bytes per transform or
+    row point with one run of committees, and 140-144 with 2 to 40 runs, were
+    measured at N = 1e5..1.5e6.
+    """
+    runs = list(runs)
+    need = _BYTES_PER_POINT * (length + sum(top + 1 for _, _, top, _ in runs))
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > physical:
+        raise ValueError(
+            f"these rows and transforms would need about {need / 2**30:.3g} GiB, more "
+            f"than this machine's {physical / 2**30:.3g} GiB of physical memory")
     groups = []
     for size, mult, top, cap in runs:
         counts = np.arange(top + 1, dtype=np.float64)
@@ -445,21 +472,6 @@ def _log_failure(groups: Sequence[_CapGroup], target: int, u: float,
     return _normalised(log_side, total, tilt, u, target, length, log_norm)
 
 
-def _check_memory(length: int, row_points: int) -> None:
-    """Refuse a transform whose arrays would not fit in physical memory.
-
-    Peaks of 96 bytes per transform or row point with one run of committees,
-    and 140-144 with 2 to 40 runs, were measured at N = 1e5..1.5e6.
-    """
-    need = _BYTES_PER_POINT * (length + row_points)
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > physical:
-        raise ValueError(
-            f"the exactly-M evaluator would need about {need / 2**30:.3g} GiB for a "
-            f"length-{length} transform, more than this machine's "
-            f"{physical / 2**30:.3g} GiB of physical memory")
-
-
 def delta_exact_hypergeometric(query: FailureQuery) -> DeltaResult:
     """Exact failure probability under the exactly-M model.
 
@@ -468,9 +480,9 @@ def delta_exact_hypergeometric(query: FailureQuery) -> DeltaResult:
     allowed counts (see above), and survival that of the truncated product,
     each normalised by C(N, M).  Survival is read only where delta is at
     least 1/2, and log delta is then log1mexp of it; below 1/2,
-    log1mexp(log delta) is the more accurate survival log.  Where the lower
-    end of ``_log_sandwich`` over the marginal tails puts delta above 1/2,
-    failure is not transformed.  Each side is read from FFTs of length L, a
+    log1mexp(log delta) is the more accurate survival log.  Where
+    ``_log_lower`` over the marginal tails puts delta above 1/2, failure is
+    not transformed.  Each side is read from FFTs of length L, a
     fast length above max(M, D - M) with D <= N the degree of the truncated
     product, at its own saddle-point tilt found by a safeguarded Newton
     search on the tilted mean: O(groups * L log L) time and O(L) memory at
@@ -484,19 +496,17 @@ def delta_exact_hypergeometric(query: FailureQuery) -> DeltaResult:
             for size, mult, cap in layout.allowances(query.threshold)]
     if m > sum(mult * cap for _, mult, _, cap in runs):
         return _result("exact-hypergeometric", 0.0, LOG_ZERO, clamped=False)
-    lower, upper = _log_sandwich([(_marginal_log_tail(size, n_total, m, cap), mult)
-                                  for size, mult, _, cap in runs])
-    if upper == LOG_ZERO:
+    tails = [(_marginal_log_tail(size, n_total, m, cap), mult) for size, mult, _, cap in runs]
+    if _log_upper(tails) == LOG_ZERO:
         return _result("exact-hypergeometric", LOG_ZERO, 0.0, clamped=False)
     degree = sum(mult * top for _, mult, top, _ in runs)
     # no z^(M +- L) term exists, so the length-L circular product has no alias at z^M
     length = _next_fast_len(max(m, degree - m) + 1)
-    _check_memory(length, sum(top + 1 for _, _, top, _ in runs))
-    groups = _cap_groups(runs)
+    groups = _cap_groups(runs, length)
     log_norm = log_binomial_coefficient(n_total, m)
     u0 = math.log(m / (n_total - m))
     # past ln 1/2 by 2^-20 (400x the largest FFT-to-tails gap), the lower end puts delta > 1/2
-    log_delta = 0.0 if lower > -_LN2 + 2.0 ** -20 else _log_failure(
+    log_delta = 0.0 if _log_lower(tails) > -_LN2 + 2.0 ** -20 else _log_failure(
         groups, m, *_saddle_tilt(groups, m, u0, "fail"), length, log_norm)
     log_survival = None  # below 1/2, log1mexp(log delta) of _result
     if log_delta >= -_LN2:
@@ -507,91 +517,28 @@ def delta_exact_hypergeometric(query: FailureQuery) -> DeltaResult:
 
 
 # ---------------------------------------------------------------------------
-# KL bounds: Chernoff-type sandwich and union (Boole) bounds
+# bounds: the Theorem 1 sandwich and union (Boole) bounds, one table, one walk
 #
-# A row (model, union, log_term) of _KL_BOUNDS names the adversary model it
-# reads its rate p from: P itself under "average", the global rate M/N under
-# "exact".  log_term(n, p, q, D, N) is the log of one committee's bound at
-# size n, failing fraction q = (floor(A n) + 1) / n, D = D(q || p) and node
-# total N.  Union terms are summed; Theorem 1 terms are capped at 1 and
-# combined by the stable complement product.
+# A row (model, end, log_term) of _BOUNDS names the adversary model it reads
+# its rate p from (P itself under "average", the global rate M/N under
+# "exact"), the end of the sandwich it reads, and log_term(n, cap, p, M, N):
+# the log of one committee's term at size n and allowed count cap, M None
+# under "average" and N the node total, or None where a precondition fails.
+# The KL formulas take n, p, the failing fraction q = (cap + 1) / n,
+# D = D(q || p) and N.
+
+
+def _kl(formula: Callable) -> Callable:
+    """A row's log term from a KL formula(n, p, q, D, N); None unless p < q < 1."""
+    def log_term(size, cap, p, m, total):
+        q = (cap + 1) / size
+        return formula(size, p, q, kl_divergence(q, p), total) if p < q < 1.0 else None
+    return log_term
 
 
 def _random_tight(n, p, q, d, total):
     # at one committee P(mu) = 1 and the term is -N D, which 1 + expm1(-D) loses
     return -total * d if n == total else total * math.log1p(n / total * math.expm1(-d))
-
-
-_KL_BOUNDS = {
-    # Theorem 1 sandwich on the exact product-binomial failure probability:
-    #   lower bound      exp(-n D) / sqrt(8 n q (1 - q))
-    "theorem1-lower": ("average", False, lambda n, p, q, d, total:
-                       -n * d - 0.5 * math.log(8.0 * n * q * (1.0 - q))),
-    #   Ash upper        exp(-n D)
-    "theorem1-upper-ash": ("average", False, lambda n, p, q, d, total: -n * d),
-    #   Ferrante upper   exp(-n D) / ((1 - r) sqrt(2 pi q (1 - q) n)),
-    #                    r = p (1 - q) / (q (1 - p))
-    "theorem1-upper-ferrante": ("average", False, lambda n, p, q, d, total:
-                                -n * d - math.log1p(-p * (1.0 - q) / (q * (1.0 - p)))
-                                - 0.5 * math.log(2.0 * math.pi * q * (1.0 - q) * n)),
-    # union bound for fixed sizes: sum_mu exp(-n_mu D(q_mu || p))
-    "union-fixed": ("average", True, lambda n, p, q, d, total: -n * d),
-    # fully random partition, a node in committee mu with probability
-    # P(mu) = n_mu / N, so the layout's sizes are the expected sizes:
-    #   tight   sum_mu (P(mu) exp(-D) + 1 - P(mu))^N
-    "union-random": ("average", True, _random_tight),
-    #   simple  sum_mu exp(-N P(mu) (1 - exp(-D))), never below the tight form
-    "union-random-simple": ("average", True, lambda n, p, q, d, total:
-                            total * (n / total) * math.expm1(-d)),
-    # Hoeffding form under exactly-M: union-fixed at the global rate p = M/N
-    "union-hyper-hoeffding": ("exact", True, lambda n, p, q, d, total: -n * d),
-}
-
-
-def _kl_bound(method: str, query: FailureQuery) -> DeltaResult:
-    """The ``_KL_BOUNDS`` bound ``method``, by one walk over the run table.  A run
-    violating p < q < 1 gets the trivial bound 1 and clears ``precondition_ok``
-    with its model's warning."""
-    model, union, log_term = _KL_BOUNDS[method]
-    n_total = query.layout.total
-    if model == "average":
-        rate, warning = _require_average(query), "bound precondition violated"
-    else:
-        rate, warning = _require_exact(query) / n_total, "Hoeffding precondition violated"
-    terms = []
-    precondition_ok = True
-    for size, mult, cap in query.layout.allowances(query.threshold):
-        if cap >= size:
-            continue
-        q = (cap + 1) / size
-        if rate < q < 1.0:
-            log_bound = log_term(size, rate, q, kl_divergence(q, rate), n_total)
-        else:
-            precondition_ok = False
-            log_bound = 0.0  # log 1
-        terms.append(math.log(mult) + log_bound if union else (min(log_bound, 0.0), mult))
-    raw = log_sum_exp(terms) if union else stable_complement_product(terms)
-    return _result(method, raw, precondition_ok=precondition_ok,
-                   warnings=() if precondition_ok else (f"{warning} for some committee",))
-
-
-def theorem1_bounds(query: FailureQuery) -> tuple[DeltaResult, DeltaResult, DeltaResult]:
-    """Sandwich bounds (lower, upper_ash, upper_ferrante) on the exact
-    product-binomial failure probability; see ``_KL_BOUNDS``."""
-    return tuple(_kl_bound(method, query) for method in (
-        "theorem1-lower", "theorem1-upper-ash", "theorem1-upper-ferrante"))
-
-
-def union_bound_fixed_sizes(query: FailureQuery) -> DeltaResult:
-    """Union bound sum_mu exp(-n_mu D(q_mu || p_mu)) for fixed sizes."""
-    return _kl_bound("union-fixed", query)
-
-
-def union_bound_random_sizes(query: FailureQuery) -> tuple[DeltaResult, DeltaResult]:
-    """Union bounds (tight form, simpler form) for the fully random partition,
-    sizes not conditioned on; see ``_KL_BOUNDS``."""
-    return tuple(_kl_bound(method, query)
-                 for method in ("union-random", "union-random-simple"))
 
 
 def _marginal_log_tail(size: int, total: int, m: int, cap: int) -> float:
@@ -611,22 +558,74 @@ def _marginal_log_tail(size: int, total: int, m: int, cap: int) -> float:
                                 (size + 1) * (m + 1) / (total + 2), sd), 0.0)
 
 
-def _union_hyper_exact(query: FailureQuery) -> DeltaResult:
-    """Union bound under exactly-M: the sum of exact per-committee marginal tails."""
-    m = _require_exact(query)
+_BOUNDS = {
+    # Theorem 1 sandwich on the exact product-binomial failure probability:
+    #   lower bound      exp(-n D) / sqrt(8 n q (1 - q))
+    "theorem1-lower": ("average", _log_lower, _kl(lambda n, p, q, d, total:
+                       -n * d - 0.5 * math.log(8.0 * n * q * (1.0 - q)))),
+    #   Ash upper        exp(-n D)
+    "theorem1-upper-ash": ("average", _log_lower, _kl(lambda n, p, q, d, total: -n * d)),
+    #   Ferrante upper   exp(-n D) / ((1 - r) sqrt(2 pi q (1 - q) n)),
+    #                    r = p (1 - q) / (q (1 - p))
+    "theorem1-upper-ferrante": ("average", _log_lower, _kl(lambda n, p, q, d, total:
+                                -n * d - math.log1p(-p * (1.0 - q) / (q * (1.0 - p)))
+                                - 0.5 * math.log(2.0 * math.pi * q * (1.0 - q) * n))),
+    # union bound for fixed sizes: sum_mu exp(-n_mu D(q_mu || p))
+    "union-fixed": ("average", _log_upper, _kl(lambda n, p, q, d, total: -n * d)),
+    # fully random partition, a node in committee mu with probability
+    # P(mu) = n_mu / N, so the layout's sizes are the expected sizes:
+    #   tight   sum_mu (P(mu) exp(-D) + 1 - P(mu))^N
+    "union-random": ("average", _log_upper, _kl(_random_tight)),
+    #   simple  sum_mu exp(-N P(mu) (1 - exp(-D))), never below the tight form
+    "union-random-simple": ("average", _log_upper, _kl(lambda n, p, q, d, total:
+                            total * (n / total) * math.expm1(-d))),
+    # union bound under exactly-M: the sum of exact per-committee marginal tails
+    "union-hyper-exact": ("exact", _log_upper, lambda n, cap, p, m, total:
+                          _marginal_log_tail(n, total, m, cap)),
+    # Hoeffding form under exactly-M: union-fixed at the global rate p = M/N
+    "union-hyper-hoeffding": ("exact", _log_upper, _kl(lambda n, p, q, d, total: -n * d)),
+}
+
+
+def _bound(tag: str, query: FailureQuery) -> DeltaResult:
+    """The ``_BOUNDS`` row ``tag``, by one walk over the run table: its end over one
+    term per run that can fail.  A term of None counts as log 1 and clears
+    ``precondition_ok`` with its model's warning."""
+    model, end, log_term = _BOUNDS[tag]
     n_total = query.layout.total
-    tails = [(_marginal_log_tail(size, n_total, m, cap), mult)
-             for size, mult, cap in query.layout.allowances(query.threshold)]
-    return _result("union-hyper-exact", _log_sandwich(tails)[1])
+    m = None if model == "average" else _require_exact(query)
+    p = _require_average(query) if m is None else m / n_total
+    terms = [(log_term(size, cap, p, m, n_total), mult)
+             for size, mult, cap in query.layout.allowances(query.threshold) if cap < size]
+    ok = all(t is not None for t, _ in terms)
+    warning = "bound" if model == "average" else "Hoeffding"
+    return _result(tag, end([(0.0 if t is None else t, mult) for t, mult in terms]),
+                   precondition_ok=ok, warnings=() if ok else (
+                       f"{warning} precondition violated for some committee",))
+
+
+def theorem1_bounds(query: FailureQuery) -> tuple[DeltaResult, DeltaResult, DeltaResult]:
+    """Sandwich bounds (lower, upper_ash, upper_ferrante) on the exact
+    product-binomial failure probability; see ``_BOUNDS``."""
+    return tuple(_bound(tag, query) for tag in (
+        "theorem1-lower", "theorem1-upper-ash", "theorem1-upper-ferrante"))
+
+
+def union_bound_fixed_sizes(query: FailureQuery) -> DeltaResult:
+    """Union bound sum_mu exp(-n_mu D(q_mu || p_mu)) for fixed sizes."""
+    return _bound("union-fixed", query)
+
+
+def union_bound_random_sizes(query: FailureQuery) -> tuple[DeltaResult, DeltaResult]:
+    """Union bounds (tight form, simpler form) for the fully random partition,
+    sizes not conditioned on; see ``_BOUNDS``."""
+    return tuple(_bound(tag, query) for tag in ("union-random", "union-random-simple"))
 
 
 def union_bound_hypergeometric(query: FailureQuery) -> tuple[DeltaResult, DeltaResult]:
-    """Union bounds under the exactly-M model: (exact tail sum, Hoeffding form).
-
-    The first sums the exact per-committee marginal tails; the second is the
-    ``union-hyper-hoeffding`` row of ``_KL_BOUNDS``.
-    """
-    return _union_hyper_exact(query), _kl_bound("union-hyper-hoeffding", query)
+    """Union bounds under the exactly-M model: (exact tail sum, Hoeffding form),
+    the ``union-hyper-exact`` and ``union-hyper-hoeffding`` rows of ``_BOUNDS``."""
+    return _bound("union-hyper-exact", query), _bound("union-hyper-hoeffding", query)
 
 
 def _log_tail_head(log_first: float, first: int, stop: int,
@@ -642,14 +641,6 @@ def _log_tail_head(log_first: float, first: int, stop: int,
         if s > need or t < 2.0 ** -20 * s:  # past the goal, or little left to add
             break
     return min(log_first + math.log(s), 0.0)
-
-
-def _log_sandwich(log_tails: Sequence[tuple[float, int]]) -> tuple[float, float]:
-    """(log lower, log upper) of 1 - prod_g (1 - T_g)^m_g <= delta <= sum_g m_g T_g from
-    per-run (log T_g, m_g), T_g one committee's tail: equal on the left for binomial counts,
-    a bound for exactly-M ones, which are negatively associated (Joag-Dev & Proschan 1983)."""
-    return (stable_complement_product(log_tails),
-            log_sum_exp([math.log(mult) + t for t, mult in log_tails]))
 
 
 def _binomial_law(rate) -> tuple:

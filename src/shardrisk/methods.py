@@ -2,18 +2,19 @@
 
 ``METHODS`` serves the CLI's delta, bounds, asymptotic and sweeps and the
 sizing predicates; ``method_query`` is the one place where a model and a
-rate P or count M become a ``FailureQuery``.  The seven KL entries are the
-rows of ``failure._KL_BOUNDS``, one run-table walk per tag.  ``law`` is the
-exact per-committee tail law that sizing reads.  Evaluators are looked up by
-module-global name at call time, not held as function objects, so that
-rebinding a name here (as instrumentation does) reaches every caller.
+rate P or count M become a ``FailureQuery``.  The eight bound entries are the
+rows of ``failure._BOUNDS``, each evaluated by the one walk ``failure._bound``.
+``law`` is the exact per-committee tail law that sizing reads.  Evaluators
+are looked up by module-global name at call time, not held as function
+objects, so that rebinding a name here (as instrumentation does) reaches
+every caller.
 """
 
 from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .failure import _KL_BOUNDS, DeltaResult, FailureQuery, _kl_bound, _union_hyper_exact
+from .failure import _BOUNDS, DeltaResult, FailureQuery, _bound
 from .failure import _binomial_law, _hypergeometric_law
 from .failure import delta_exact_binomial, delta_exact_hypergeometric
 from .partitions import (AverageAdversary, CommitteeLayout, ExactAdversary,
@@ -28,18 +29,15 @@ class Method(NamedTuple):
     law: Callable | None = None  # rate -> (bind, head, tail) of its exact tails
 
 
-def _kl_method(tag: str) -> Method:
-    return Method(_KL_BOUNDS[tag][0], lambda q: _kl_bound(tag, q))
-
-
 METHODS = {
     "exact-binomial": Method("average", lambda q: delta_exact_binomial(q), _binomial_law),
     "exact-hypergeometric": Method("exact", lambda q: delta_exact_hypergeometric(q),
                                    _hypergeometric_law),
     "asymptotic": Method("exact", lambda q: delta_asymptotic(
         q.layout, q.adversary.count, q.threshold)),
-    "union-hyper-exact": Method("exact", lambda q: _union_hyper_exact(q), _hypergeometric_law),
-    **{tag: _kl_method(tag) for tag in _KL_BOUNDS},
+    **{tag: Method(model, lambda q, tag=tag: _bound(tag, q),
+                   _hypergeometric_law if tag == "union-hyper-exact" else None)
+       for tag, (model, _, _) in _BOUNDS.items()},
     "monte-carlo-average": Method("average", None),
     "monte-carlo-exact": Method("exact", None),
 }

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 # perfbench's tracer self-test checks that sizing.delta_exact_binomial is restored
-from .failure import _log_sandwich, delta_exact_binomial  # noqa: F401
+from .failure import _log_lower, _log_upper, delta_exact_binomial  # noqa: F401
 from .methods import EXACT_TAGS, METHODS, method_query
 from .partitions import CommitteeLayout, layout_from_split
 from .probcore import RateLike, kl_divergence, rate_as_float, stable_complement_product
@@ -92,8 +92,9 @@ def _feasibility(tag: str, threshold, rate,
     threshold.  A tag with no law is decided by its evaluator.  A layout is
     settled by the first step that can: 1 - prod_g (1 - H_g)^m_g past the
     target, with H_g <= T_g the law's head and tail of one committee of run g;
-    ``failure._log_sandwich`` over the tails; or the evaluator, each within a
-    rounding margin on log delta.
+    ``failure._log_upper`` over the tails below it, or ``failure._log_lower``
+    over them past it; or the evaluator, each within a rounding margin on log
+    delta.
     """
     method = METHODS.get(tag)
     if method is None or method.evaluate is None:
@@ -116,11 +117,11 @@ def _feasibility(tag: str, threshold, rate,
         if stable_complement_product([(head(key, size, cap, goal), mult)
                                       for size, mult, cap in runs]) > log_target + margin:
             return False
-        lower, upper = _log_sandwich([(tail(key, size, cap), mult)
-                                      for size, mult, cap in runs])
-        if upper < log_target - margin:
+        tails = [(tail(key, size, cap), mult) for size, mult, cap in runs]
+        if _log_upper(tails) < log_target - margin:
             return True
-        return lower <= log_target + margin and _delta(layout, tag, threshold, rate) <= target
+        return (_log_lower(tails) <= log_target + margin
+                and _delta(layout, tag, threshold, rate) <= target)
 
     return feasible
 
@@ -134,12 +135,15 @@ def max_committees(
 ) -> SizingResult:
     """Largest committee count whose split keeps the risk at or below target.
 
-    Decides every K from 2 up to N on the n/(n+1) split, under either model
-    (see ``min_committee_size``), and returns the largest feasible K with its
-    exact failure probability.  A first-crossing loop would be wrong: floor(A n)
-    jumps at multiples of 1/A, so the risk is not monotone in K (N=60, target
-    0.5, rate 1/4, A=1/3 is such a case).  The single-committee fallback reports
+    Scans K from N down to 2 on the n/(n+1) split, under either model (see
+    ``min_committee_size``), and returns the first feasible K, the largest by
+    definition, with its exact failure probability; no K below it is decided.
+    A first-crossing loop up from K = 2 would be wrong: floor(A n) jumps at
+    multiples of 1/A, so the risk is not monotone in K (N=60, target 0.5, rate
+    1/4, A=1/3 is such a case).  The single-committee fallback reports
     probability 0 without being evaluated, as the classic loop's did.
+    ``iterations`` is N - 1, the count of K the scan covers at most, whatever
+    the answer, as benchmark checks read it.
     """
     n_total = int(total_nodes)
     if n_total < 1:
@@ -149,8 +153,8 @@ def max_committees(
         raise ValueError(f"threshold must lie strictly inside (0, 1), got {a!r}")
     tag = _exact_tag(model)
     feasible = _feasibility(tag, threshold, adversary_rate, delta_target)
-    best = max((k for k in range(2, n_total + 1)
-                if feasible(layout_from_split(n_total, k))), default=1)
+    best = next((k for k in range(n_total, 1, -1)
+                 if feasible(layout_from_split(n_total, k))), 1)
     prob = 0.0 if best == 1 else _delta(layout_from_split(n_total, best), tag,
                                         threshold, adversary_rate)
     return SizingResult(best, *divmod(n_total, best), prob, iterations=n_total - 1)

@@ -9,8 +9,9 @@ samplers, the series expansions of the size-bracket budget and the scalar f_tild
 loop, the
 per-committee sequence of a layout and the per-committee form of the
 random-size union bounds, the full-row tail sums that the windowed
-ones replaced, and the exactly-M evaluator that always transforms the
-failure side first.
+ones replaced, the exactly-M evaluator that always transforms the
+failure side first, and the two bound walks that the one bound table
+replaced.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from shardrisk.probcore import (
     log_factorial,
     log_sum_exp,
     rate_as_float,
+    stable_complement_product,
 )
 
 
@@ -568,8 +570,7 @@ def delta_exact_hypergeometric_failure_first(query: FailureQuery) -> DeltaResult
         return failure._result("exact-hypergeometric", 0.0, LOG_ZERO, clamped=False)
     degree = sum(mult * top for _, mult, top, _ in runs)
     length = failure._next_fast_len(max(m, degree - m) + 1)
-    failure._check_memory(length, sum(top + 1 for _, _, top, _ in runs))
-    groups = failure._cap_groups(runs)
+    groups = failure._cap_groups(runs, length)
     log_norm = log_binomial_coefficient(n_total, m)
     u0 = math.log(m / (n_total - m))
     log_delta = failure._log_failure(
@@ -580,3 +581,68 @@ def delta_exact_hypergeometric_failure_first(query: FailureQuery) -> DeltaResult
             groups, m, *failure._saddle_tilt(groups, m, u0, "surv"), length, log_norm)
         log_delta = log1mexp(log_survival)
     return failure._result("exact-hypergeometric", log_delta, log_survival, clamped=False)
+
+
+# -------------------------------------------------------------------------
+# the two bound walks that ``failure._BOUNDS`` and ``failure._bound`` replaced
+
+
+def _random_tight(n, p, q, d, total):
+    return -total * d if n == total else total * math.log1p(n / total * math.expm1(-d))
+
+
+# tag -> (model, union, log_term(n, p, q, D, N)); Theorem 1 rows are not unions
+KL_BOUNDS = {
+    "theorem1-lower": ("average", False, lambda n, p, q, d, total:
+                       -n * d - 0.5 * math.log(8.0 * n * q * (1.0 - q))),
+    "theorem1-upper-ash": ("average", False, lambda n, p, q, d, total: -n * d),
+    "theorem1-upper-ferrante": ("average", False, lambda n, p, q, d, total:
+                                -n * d - math.log1p(-p * (1.0 - q) / (q * (1.0 - p)))
+                                - 0.5 * math.log(2.0 * math.pi * q * (1.0 - q) * n)),
+    "union-fixed": ("average", True, lambda n, p, q, d, total: -n * d),
+    "union-random": ("average", True, _random_tight),
+    "union-random-simple": ("average", True, lambda n, p, q, d, total:
+                            total * (n / total) * math.expm1(-d)),
+    "union-hyper-hoeffding": ("exact", True, lambda n, p, q, d, total: -n * d),
+}
+
+
+def kl_bound(method: str, query: FailureQuery) -> DeltaResult:
+    """A ``KL_BOUNDS`` row by its own walk: each end of the sandwich restated
+    inline, a run violating p < q < 1 given the trivial bound 1."""
+    model, union, log_term = KL_BOUNDS[method]
+    n_total = query.layout.total
+    if model == "average":
+        rate, warning = failure._require_average(query), "bound precondition violated"
+    else:
+        rate, warning = failure._require_exact(query) / n_total, "Hoeffding precondition violated"
+    terms = []
+    precondition_ok = True
+    for size, mult, cap in query.layout.allowances(query.threshold):
+        if cap >= size:
+            continue
+        q = (cap + 1) / size
+        if rate < q < 1.0:
+            log_bound = log_term(size, rate, q, kl_divergence(q, rate), n_total)
+        else:
+            precondition_ok = False
+            log_bound = 0.0
+        terms.append(math.log(mult) + log_bound if union else (min(log_bound, 0.0), mult))
+    raw = log_sum_exp(terms) if union else stable_complement_product(terms)
+    return failure._result(method, raw, precondition_ok=precondition_ok,
+                           warnings=() if precondition_ok else (f"{warning} for some committee",))
+
+
+def union_hyper_exact(query: FailureQuery) -> DeltaResult:
+    """The exactly-M union bound by its own walk: the sum of the exact marginal
+    tails of every run, including those that cannot fail."""
+    m = failure._require_exact(query)
+    n_total = query.layout.total
+    tails = [(failure._marginal_log_tail(size, n_total, m, cap), mult)
+             for size, mult, cap in query.layout.allowances(query.threshold)]
+    return failure._result("union-hyper-exact",
+                           log_sum_exp([math.log(mult) + t for t, mult in tails]))
+
+
+def bound_reference(tag: str, query: FailureQuery) -> DeltaResult:
+    return union_hyper_exact(query) if tag == "union-hyper-exact" else kl_bound(tag, query)

@@ -7,8 +7,8 @@ For each workload and seed it builds perfbench's query list, issues every
 query in process through ``shardrisk.cli.main`` after emptying the memo
 caches (``perfbench/run.py``'s own ``run_pass``), and prints one line: the
 workload, the seed, the query count and the sha256 of each query's argv,
-exit code and stdout.  Two checkouts whose lines match print the same bytes
-on those lists.  ``--root`` names the checkout whose ``src`` and
+exit code, stdout and stderr.  Two checkouts whose lines match print the same
+bytes, error text included, on those lists.  ``--root`` names the checkout whose ``src`` and
 ``perfbench`` are imported (by default the one holding this file); run it
 once per checkout, each in its own process.  perfbench's files are only
 imported, never changed.  pytest does not collect this file.
@@ -26,7 +26,8 @@ from pathlib import Path
 def digest(outcomes, queries) -> str:
     h = hashlib.sha256()
     for query, outcome in zip(queries, outcomes):
-        h.update(json.dumps([query["argv"], outcome["code"], outcome["stdout"]]).encode())
+        h.update(json.dumps([query["argv"], outcome["code"], outcome["stdout"],
+                             outcome["stderr"]]).encode())
     return h.hexdigest()
 
 

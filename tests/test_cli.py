@@ -196,6 +196,24 @@ class TestInternalErrors:
         assert "physical memory" in err
         assert elapsed < 5.0 and peak < 1 << 20
 
+    def test_asymptotic_beyond_physical_memory_refused(self, capsys):
+        # 2 committees of 5e11: the saddle's capped rows would need about 2.7e13 bytes
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            code, out, err = run_cli(
+                capsys, "delta", "--nodes", "1000000000000", "--committees", "2",
+                "--adversary-frac", "3/10", "--threshold", "1/3", "--method", "asymptotic",
+            )
+            elapsed = time.perf_counter() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "physical memory" in err and "internal error" not in err
+        assert elapsed < 5.0 and peak < 1 << 20
+
 
 class TestBoundsCommand:
     def test_average_model_rows(self, capsys):
@@ -694,18 +712,17 @@ def test_registry_covers_every_tag():
 
 
 def test_kl_tags_are_the_bound_table():
-    # every analytic tag but these four is a KL bound, one row of _KL_BOUNDS,
+    # every analytic tag but these three is a bound, one row of _BOUNDS,
     # of the row's model, and its evaluator returns that row
     analytic = {tag for tag, method in methods.METHODS.items() if method.evaluate}
-    kl_tags = analytic - {"exact-binomial", "exact-hypergeometric", "asymptotic",
-                          "union-hyper-exact"}
-    assert kl_tags == set(failure._KL_BOUNDS)
+    bound_tags = analytic - {"exact-binomial", "exact-hypergeometric", "asymptotic"}
+    assert bound_tags == set(failure._BOUNDS)
     layout = CommitteeLayout((12, 10, 12, 11))
     adversaries = {"average": AverageAdversary(Fraction(1, 4)),
                    "exact": ExactAdversary(11)}
-    for tag in kl_tags:
+    for tag in bound_tags:
         method = methods.METHODS[tag]
-        assert method.model == failure._KL_BOUNDS[tag][0]
+        assert method.model == failure._BOUNDS[tag][0]
         query = FailureQuery(layout, adversaries[method.model], Fraction(1, 3))
         assert method.evaluate(query).method == tag
 
@@ -770,13 +787,13 @@ class TestEvaluatorsRebindable:
         monkeypatch.setattr(module, name, wrapper)
         return calls
 
-    # the KL tags call one private walk each; see
+    # every bound tag calls the one walk _bound; see
     # test_theorem1_tags_walk_the_run_table_once_each
     @pytest.mark.parametrize("tag, name", [
         ("exact-binomial", "delta_exact_binomial"),
         ("exact-hypergeometric", "delta_exact_hypergeometric"),
         ("asymptotic", "delta_asymptotic"),
-        ("union-hyper-exact", "_union_hyper_exact"),
+        ("union-hyper-exact", "_bound"),
     ])
     def test_delta_reaches_each_evaluator(self, capsys, monkeypatch, tag, name):
         calls = self._count(monkeypatch, methods, name)

@@ -1,6 +1,6 @@
 """The per-run sandwich 1 - prod_g (1 - T_g)^m_g <= delta <= sum_g m_g T_g.
 
-``failure._log_sandwich`` is the one home of both ends.  The tests here check
+``failure._log_lower`` and ``failure._log_upper`` are the one home of each end.  The tests here check
 its premise at integer precision (equality on the left for binomial counts,
 a bracket for exactly-M ones, which are negatively associated), hold the
 exactly-M evaluator's choice of side to the failure-first evaluator with
@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from oracles import (delta_exact_hypergeometric_failure_first, exact_m_failure_survival,
                      log_ratio)
 from shardrisk import failure
-from shardrisk.failure import (FailureQuery, _binomial_law, _log_sandwich, _marginal_log_tail,
-                               delta_exact_hypergeometric)
+from shardrisk.failure import (FailureQuery, _binomial_law, _log_lower, _log_upper,
+                               _marginal_log_tail, delta_exact_hypergeometric)
 from shardrisk.partitions import CommitteeLayout, ExactAdversary, layout_from_split
 from shardrisk.probcore import LOG_ZERO
 
@@ -64,8 +64,8 @@ def fraction_product_binomial_delta(layout, rate, threshold) -> Fraction:
 def test_lower_end_is_the_product_binomial_delta(layout, threshold, rate):
     bind, _, tail = _binomial_law(rate)
     key, _ = bind(layout)
-    lower, _ = _log_sandwich([(tail(key, size, cap), mult)
-                              for size, mult, cap in layout.allowances(threshold)])
+    lower = _log_lower([(tail(key, size, cap), mult)
+                        for size, mult, cap in layout.allowances(threshold)])
     delta = fraction_product_binomial_delta(layout, rate, threshold)
     assert lower == pytest.approx(log_ratio(delta.numerator, delta.denominator),
                                   rel=0.0, abs=1e-12)
@@ -84,7 +84,8 @@ def exact_m_cases(draw):
 @example((CommitteeLayout.from_runs([(3, 2)]), Fraction(1, 3), 6))
 def test_ends_bracket_the_exact_m_delta(case):
     layout, threshold, m = case
-    lower, upper = _log_sandwich(marginal_tails(layout, m, threshold))
+    tails = marginal_tails(layout, m, threshold)
+    lower, upper = _log_lower(tails), _log_upper(tails)
     failing, _, total = exact_m_failure_survival(layout.runs, m, threshold)
     if failing == 0:
         assert lower == upper == LOG_ZERO
@@ -133,7 +134,7 @@ def side_cases(draw):
                     exact_query(layout, m, threshold)).log_delta >= -math.log(2.0)
         else:
             def holds(m):
-                lower, _ = _log_sandwich(marginal_tails(layout, m, threshold))
+                lower = _log_lower(marginal_tails(layout, m, threshold))
                 return lower > -math.log(2.0) + 2.0 ** -20
         m = min(max(first_count(layout, holds) + draw(st.integers(-2, 2)), 0), layout.total)
     return layout, threshold, m
@@ -177,7 +178,7 @@ def test_transforms_per_side(monkeypatch, nodes, committees, count, failures, su
     result = delta_exact_hypergeometric(query)
     assert calls == {"_log_failure": failures, "_log_survival": survivals}
     if (nodes, count) == (300, 90):
-        lower, _ = _log_sandwich(marginal_tails(query.layout, count, query.threshold))
+        lower = _log_lower(marginal_tails(query.layout, count, query.threshold))
         assert math.exp(lower) == pytest.approx(0.438, abs=1e-3)
         assert result.delta == pytest.approx(0.510, abs=1e-3)
     if count == 33:

@@ -149,6 +149,37 @@ class TestMaxCommittees:
         with pytest.raises(ValueError, match=match):
             max_committees(total, 0.5, threshold, 0.25)
 
+    @staticmethod
+    def record_counts(monkeypatch) -> list:
+        """The K of every split that ``max_committees`` builds, in call order."""
+        counts = []
+
+        def recording(total, k):
+            counts.append(k)
+            return layout_from_split(total, k)
+
+        monkeypatch.setattr(sizing, "layout_from_split", recording)
+        return counts
+
+    @pytest.mark.parametrize("model, totals, targets, rates", [
+        # criterion 9's grid
+        ("average", range(1, 501), (0.5, 0.1, 1e-3), (0.1, 0.25)),
+        ("exact", (*range(1, 301, 23), 60, 300), (0.5, 0.1, 1e-3), (0.1, 0.25)),
+    ], ids=["average", "exact"])
+    def test_scan_stops_at_its_answer(self, monkeypatch, model, totals, targets, rates):
+        # N = 60 at target 0.5 and rate 1/4 is not monotone in K
+        delta_of = split_delta if model == "average" else exact_m_split_delta
+        counts = self.record_counts(monkeypatch)
+        for rate in rates:
+            for total in totals:
+                deltas = {k: delta_of(total, k, THIRD, rate) for k in range(2, total + 1)}
+                for target in targets:
+                    counts.clear()
+                    got = max_committees(total, target, THIRD, rate, model).committees
+                    assert got == scan_largest_committee_count(
+                        total, deltas.__getitem__, target), (total, target, rate)
+                    assert all(k >= got for k in counts), (total, target, rate)
+
     def test_exact_model_at_fifty_thousand_nodes(self):
         # at K = 2 a committee's first failing count has log pmf -945, far
         # below the tail head's goal; exp of the gap once overflowed
