@@ -33,10 +33,10 @@ _DELTA_COLUMNS = [
 ]
 
 
-def _parse_rate(text: str) -> Fraction | float:
-    """'1/3' parses to an exact rational, anything else to a float."""
+def _parse_rate(text: str) -> Fraction:
+    """The exact rational a rate names: '0.29' is 29/100, not the float below it."""
     try:
-        return Fraction(text) if "/" in text else float(text)
+        return Fraction(text)
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(f"bad rate {text!r}: zero denominator") from None
     except ValueError:

@@ -20,10 +20,8 @@ The eight bounds are the rows of one table, ``_BOUNDS``, each a model, an end
 and a per-committee log term, walked by ``_bound``: the Theorem 1 sandwich reads
 the lower end over KL terms, the union bounds the upper end over KL terms or
 exact marginal tails.  Exact-binomial reads the lower end over binomial tails,
-and the exactly-M evaluator picks the side it transforms from it.  Each exact
-per-committee tail law (``_binomial_law``, ``_hypergeometric_law``) is defined
-here once, sums its tails by ``probcore.windowed_log_sum`` over the O(sd) terms
-within 750 of the largest, and reaches sizing through the method registry.
+and the exactly-M evaluator picks the side it transforms from it.  Every exact
+per-committee tail is a ``probcore.CountLaw`` tail, a sum of O(sd) terms.
 
 Bounds can exceed 1; they are clamped with a diagnostic flag instead of
 being rejected, so parameter sweeps never abort.  Preconditions of the
@@ -36,28 +34,24 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .partitions import (AdversaryModel, AverageAdversary, CommitteeLayout, ExactAdversary,
-                         _marginal_log_pmf, exact_count_from_rate)
+from .partitions import AdversaryModel, AverageAdversary, CommitteeLayout, ExactAdversary
 from .probcore import (
     _LN2,
     LOG_ZERO,
+    HypergeometricCounts,
     RateLike,
     binomial_tail_and_cdf,
     kl_divergence,
     log1mexp,
-    log_binomial_coefficient,
     log_binomial_coefficients,
-    log_factorial,
     log_sum_exp,
     rate_as_float,
     stable_complement_product,
-    windowed_log_sum,
 )
 
 __all__ = [
@@ -83,12 +77,9 @@ class FailureQuery:
         a = rate_as_float(self.threshold, "threshold")
         if a <= 0.0:
             raise ValueError(f"threshold must be positive, got {self.threshold!r}")
-        if isinstance(self.adversary, ExactAdversary):
-            if self.adversary.count > self.layout.total:
-                raise ValueError(
-                    f"adversary count {self.adversary.count} exceeds "
-                    f"{self.layout.total} nodes"
-                )
+        if isinstance(self.adversary, ExactAdversary) and self.adversary.count > self.layout.total:
+            raise ValueError(f"adversary count {self.adversary.count} exceeds "
+                             f"{self.layout.total} nodes")
 
 
 @dataclass(frozen=True)
@@ -136,12 +127,6 @@ def _result(method, raw_log_delta, log_survival=None, *, clamped=None,
     )
 
 
-@lru_cache(maxsize=65536)
-def _binomial_split_cached(size: int, rate: float, cap: int) -> tuple[float, float]:
-    """(log CDF, log tail) of one committee of a run at its allowed count."""
-    return binomial_tail_and_cdf(size, rate, cap) if cap < size else (0.0, LOG_ZERO)
-
-
 def _require_average(query: FailureQuery) -> float:
     if not isinstance(query.adversary, AverageAdversary):
         raise ValueError("this evaluator needs an AverageAdversary model")
@@ -176,7 +161,7 @@ def delta_exact_binomial(query: FailureQuery) -> DeltaResult:
     log_survival is log1mexp(log delta), which keeps full relative accuracy.
     """
     rate = _require_average(query)
-    splits = [(_binomial_split_cached(size, rate, cap), mult)
+    splits = [(binomial_tail_and_cdf(size, rate, cap), mult)
               for size, mult, cap in query.layout.allowances(query.threshold)]
     log_delta = _log_lower([(log_tail, mult) for (_, log_tail), mult in splits])
     log_survival = sum(mult * log_cdf for (log_cdf, _), mult in splits)
@@ -490,28 +475,27 @@ def delta_exact_hypergeometric(query: FailureQuery) -> DeltaResult:
     committee can exceed its allowance, 1 when M exceeds the total allowance.
     """
     m = _require_exact(query)
-    layout = query.layout
-    n_total = layout.total
+    n_total = query.layout.total
     runs = [(size, mult, min(size, m), min(cap, size, m))
-            for size, mult, cap in layout.allowances(query.threshold)]
+            for size, mult, cap in query.layout.allowances(query.threshold)]
     if m > sum(mult * cap for _, mult, _, cap in runs):
         return _result("exact-hypergeometric", 0.0, LOG_ZERO, clamped=False)
-    tails = [(_marginal_log_tail(size, n_total, m, cap), mult) for size, mult, _, cap in runs]
+    law = HypergeometricCounts(n_total, m)
+    tails = [(law.tail(size, cap), mult) for size, mult, _, cap in runs]
     if _log_upper(tails) == LOG_ZERO:
         return _result("exact-hypergeometric", LOG_ZERO, 0.0, clamped=False)
     degree = sum(mult * top for _, mult, top, _ in runs)
     # no z^(M +- L) term exists, so the length-L circular product has no alias at z^M
     length = _next_fast_len(max(m, degree - m) + 1)
     groups = _cap_groups(runs, length)
-    log_norm = log_binomial_coefficient(n_total, m)
     u0 = math.log(m / (n_total - m))
     # past ln 1/2 by 2^-20 (400x the largest FFT-to-tails gap), the lower end puts delta > 1/2
     log_delta = 0.0 if _log_lower(tails) > -_LN2 + 2.0 ** -20 else _log_failure(
-        groups, m, *_saddle_tilt(groups, m, u0, "fail"), length, log_norm)
+        groups, m, *_saddle_tilt(groups, m, u0, "fail"), length, law.log_norm)
     log_survival = None  # below 1/2, log1mexp(log delta) of _result
     if log_delta >= -_LN2:
         log_survival = _log_survival(groups, m, *_saddle_tilt(groups, m, u0, "surv"),
-                                     length, log_norm)
+                                     length, law.log_norm)
         log_delta = log1mexp(log_survival)  # a failure log near 0 keeps no relative accuracy
     return _result("exact-hypergeometric", log_delta, log_survival, clamped=False)
 
@@ -541,23 +525,6 @@ def _random_tight(n, p, q, d, total):
     return -total * d if n == total else total * math.log1p(n / total * math.expm1(-d))
 
 
-def _marginal_log_tail(size: int, total: int, m: int, cap: int) -> float:
-    """log P(count > cap) for one committee under the exactly-M model: ln C(size, j)
-    C(total - size, m - j) / C(total, m), capped at 0, summed over the failing
-    counts j by ``windowed_log_sum``, with one ln k! call for all six arguments."""
-    rest = total - size
-
-    def log_terms(j):
-        lf = log_factorial(np.concatenate(((size, rest), j, size - j, m - j, rest - m + j)))
-        lf_j, lf_size_j, lf_m_j, lf_rest_j = lf[2:].reshape(4, j.size)
-        return np.minimum(lf[0] - lf_j - lf_size_j + lf[1] - lf_m_j - lf_rest_j
-                          - log_binomial_coefficient(total, m), 0.0)
-
-    sd = math.sqrt(size * m * (total - m) * rest / max(total - 1, 1)) / total
-    return min(windowed_log_sum(log_terms, max(cap + 1, m - rest), min(size, m),
-                                (size + 1) * (m + 1) / (total + 2), sd), 0.0)
-
-
 _BOUNDS = {
     # Theorem 1 sandwich on the exact product-binomial failure probability:
     #   lower bound      exp(-n D) / sqrt(8 n q (1 - q))
@@ -581,7 +548,7 @@ _BOUNDS = {
                             total * (n / total) * math.expm1(-d))),
     # union bound under exactly-M: the sum of exact per-committee marginal tails
     "union-hyper-exact": ("exact", _log_upper, lambda n, cap, p, m, total:
-                          _marginal_log_tail(n, total, m, cap)),
+                          HypergeometricCounts(total, m).tail(n, cap)),
     # Hoeffding form under exactly-M: union-fixed at the global rate p = M/N
     "union-hyper-hoeffding": ("exact", _log_upper, _kl(lambda n, p, q, d, total: -n * d)),
 }
@@ -626,64 +593,3 @@ def union_bound_hypergeometric(query: FailureQuery) -> tuple[DeltaResult, DeltaR
     """Union bounds under the exactly-M model: (exact tail sum, Hoeffding form),
     the ``union-hyper-exact`` and ``union-hyper-hoeffding`` rows of ``_BOUNDS``."""
     return _bound("union-hyper-exact", query), _bound("union-hyper-hoeffding", query)
-
-
-def _log_tail_head(log_first: float, first: int, stop: int,
-                   ratio: Callable[[int], float], goal: float) -> float:
-    """Lower bound on a log tail: its pmf sum from count ``first``, whose log
-    pmf is ``log_first``, by at most 64 steps of ratio(j) = pmf(j + 1) / pmf(j)
-    up to count ``stop``, stopping once past ``goal``; at most log 1."""
-    need = math.exp(min(goal - log_first, 700.0))  # finite far below the goal
-    s = t = 1.0
-    for j in range(first, min(first + 64, stop)):
-        t *= ratio(j)
-        s += t
-        if s > need or t < 2.0 ** -20 * s:  # past the goal, or little left to add
-            break
-    return min(log_first + math.log(s), 0.0)
-
-
-def _binomial_law(rate) -> tuple:
-    """Binomial(size, P) counts, the law of ``exact-binomial``: bind(layout) ->
-    (key, log-term magnitude); head(key, size, cap, goal), a lower bound on the
-    log tail P(count > cap); tail(key, size, cap), its value."""
-    p, lg = float(rate), math.lgamma
-    odds = p / (1.0 - p)
-    log_scale = -math.log(min(p, 1.0 - p)) if p > 0.0 else 0.0
-
-    def bind(layout: CommitteeLayout) -> tuple:
-        top = max(layout.runs)[0]
-        return None, lg(top + 1) + top * log_scale
-
-    def head(_, size: int, cap: int, goal: float) -> float:
-        j = cap + 1
-        if j > size or p == 0.0:
-            return LOG_ZERO
-        log_first = min(lg(size + 1) - lg(j + 1) - lg(size - j + 1)
-                        + j * math.log(p) + (size - j) * math.log1p(-p), 0.0)
-        return log_first if log_first > goal else _log_tail_head(
-            log_first, j, size, lambda i: (size - i) / (i + 1) * odds, goal)
-
-    return bind, head, lambda _, size, cap: _binomial_split_cached(size, p, cap)[1]
-
-
-def _hypergeometric_law(rate) -> tuple:
-    """As ``_binomial_law``, for M = round(N P) adversaries among a layout's N
-    nodes, keyed by (N, M): the law of exact-hypergeometric and union-hyper-exact."""
-
-    def bind(layout: CommitteeLayout) -> tuple:
-        total = layout.total
-        return (total, exact_count_from_rate(total, rate)), math.lgamma(total + 1)
-
-    def head(key, size: int, cap: int, goal: float) -> float:
-        total, m = key
-        rest = total - size
-        j, stop = max(cap + 1, m - rest), min(size, m)  # the failing support
-        if j > stop:
-            return LOG_ZERO
-        log_first = _marginal_log_pmf(j, size, total, m)
-        return log_first if log_first > goal else _log_tail_head(
-            log_first, j, stop,
-            lambda i: (size - i) * (m - i) / ((i + 1) * (rest - m + i + 1)), goal)
-
-    return bind, head, lambda key, size, cap: _marginal_log_tail(size, key[0], key[1], cap)

@@ -4,7 +4,7 @@
 sizing predicates; ``method_query`` is the one place where a model and a
 rate P or count M become a ``FailureQuery``.  The eight bound entries are the
 rows of ``failure._BOUNDS``, each evaluated by the one walk ``failure._bound``.
-``law`` is the exact per-committee tail law that sizing reads.  Evaluators
+``law`` gives per rate P each layout's count law, whose tails sizing reads.  Evaluators
 are looked up by module-global name at call time, not held as function
 objects, so that rebinding a name here (as instrumentation does) reaches
 every caller.
@@ -15,18 +15,28 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from .failure import _BOUNDS, DeltaResult, FailureQuery, _bound
-from .failure import _binomial_law, _hypergeometric_law
 from .failure import delta_exact_binomial, delta_exact_hypergeometric
 from .partitions import (AverageAdversary, CommitteeLayout, ExactAdversary,
                          exact_count_from_rate)
-from .probcore import RateLike
+from .probcore import BinomialCounts, CountLaw, HypergeometricCounts, RateLike
 from .saddle import delta_asymptotic
 
 
 class Method(NamedTuple):
     model: str  # "average": nodes adversarial at rate P; "exact": exactly M
     evaluate: Callable[[FailureQuery], DeltaResult] | None  # None for Monte Carlo
-    law: Callable | None = None  # rate -> (bind, head, tail) of its exact tails
+    law: Callable | None = None  # rate -> (layout -> CountLaw) of its exact tails
+
+
+def _binomial_law(rate: RateLike) -> Callable[[CommitteeLayout], CountLaw]:
+    """Binomial(n, P) counts on every layout: the law of exact-binomial."""
+    law = BinomialCounts(float(rate))
+    return lambda layout: law
+
+
+def _hypergeometric_law(rate: RateLike) -> Callable[[CommitteeLayout], CountLaw]:
+    """M = round(N P) of a layout's N nodes: exact-hypergeometric, union-hyper-exact."""
+    return lambda layout: HypergeometricCounts(n := layout.total, exact_count_from_rate(n, rate))
 
 
 METHODS = {

@@ -6,21 +6,21 @@ either independent binomials (each node is adversarial independently with
 some rate) or the multivariate hypergeometric law (exactly M adversarial
 nodes distributed without replacement).  This module holds the layout and
 adversary value types plus the exact marginal log-pmf of one committee's
-count under the exactly-M model.
+count under the exactly-M model, a term of ``probcore.HypergeometricCounts``.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-import numpy as np
-
 from .probcore import (
     LOG_ZERO,
+    HypergeometricCounts,
     RateLike,
+    _check_count,
     floor_rate_multiple,
     rate_as_float,
 )
@@ -40,7 +40,10 @@ def _merged_runs(runs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]
     """Validate (size, multiplicity) runs, drop empty ones, merge equal neighbours."""
     merged: list[tuple[int, int]] = []
     for size, mult in runs:
-        size, mult = int(size), int(mult)
+        try:  # operator.index, not int: a size of 2.5 is an error, not 2
+            size, mult = operator.index(size), operator.index(mult)
+        except TypeError:
+            raise ValueError(f"runs must be integer pairs, got {(size, mult)}") from None
         if size < 1:
             raise ValueError(
                 f"every committee needs at least one node, got size {size}")
@@ -106,8 +109,10 @@ def layout_from_split(total_nodes: int, committees: int) -> CommitteeLayout:
     K - r committees of size n = N // K come first, then r = N mod K
     committees of size n + 1, so sweep outputs are deterministic.
     """
-    n_total = int(total_nodes)
-    k = int(committees)
+    try:
+        n_total, k = operator.index(total_nodes), operator.index(committees)
+    except TypeError:
+        raise ValueError(f"N, K must be integers, got {(total_nodes, committees)}") from None
     if n_total < 1:
         raise ValueError(f"total_nodes must be positive, got {total_nodes}")
     if k < 1:
@@ -140,9 +145,7 @@ class ExactAdversary:
     count: int
 
     def __post_init__(self):
-        if not isinstance(self.count, (int, np.integer)) or self.count < 0:
-            raise ValueError(f"count must be a non-negative integer, got {self.count!r}")
-        object.__setattr__(self, "count", int(self.count))
+        object.__setattr__(self, "count", _check_count(self.count, "count"))
 
 
 AdversaryModel = Union[AverageAdversary, ExactAdversary]
@@ -159,18 +162,6 @@ def exact_count_from_rate(total_nodes: int, rate: RateLike) -> int:
     return min(max(int(round(float(rate) * total_nodes)), 0), int(total_nodes))
 
 
-def _marginal_log_pmf(j: int, size: int, total: int, m: int) -> float:
-    """``hypergeometric_marginal_log_pmf`` without its checks: j in support.
-
-    One log-gamma group per binomial coefficient of
-    C(size, j) C(total - size, m - j) / C(total, m), capped at log 1.
-    """
-    lg, rest = math.lgamma, total - size
-    return min((lg(size + 1) - lg(j + 1) - lg(size - j + 1))
-               + (lg(rest + 1) - lg(m - j + 1) - lg(rest - m + j + 1))
-               - (lg(total + 1) - lg(m + 1) - lg(total - m + 1)), 0.0)
-
-
 def hypergeometric_marginal_log_pmf(
     n_alpha: int, committee_size: int, layout_total: int, adversary_count: int
 ) -> float:
@@ -180,16 +171,14 @@ def hypergeometric_marginal_log_pmf(
     the rest of the network can hold) return probability zero rather than
     raising, which keeps tail summations simple.
     """
-    j = int(n_alpha)
-    size = int(committee_size)
-    total = int(layout_total)
-    m = int(adversary_count)
-    if j < 0 or size < 0 or total < 0 or m < 0:
-        raise ValueError("arguments must be non-negative integers")
+    j = _check_count(n_alpha, "n_alpha")
+    size = _check_count(committee_size, "committee_size")
+    total = _check_count(layout_total, "layout_total")
+    m = _check_count(adversary_count, "adversary_count")
     if size > total:
         raise ValueError(f"committee size {size} exceeds node total {total}")
     if m > total:
         raise ValueError(f"adversary count {m} exceeds node total {total}")
-    if j > size or j > m or m - j > total - size:
-        return LOG_ZERO
-    return _marginal_log_pmf(j, size, total, m)
+    law = HypergeometricCounts(total, m)
+    lo, hi = law.support(size)
+    return law.first(size, j) if lo <= j <= hi else LOG_ZERO

@@ -1,4 +1,4 @@
-"""Log-domain probability primitives shared by every other module.
+"""Log-domain probability primitives and committee-count laws shared by every other module.
 
 Probabilities cross module boundaries as natural logarithms: floats <= 0,
 with ``-inf`` standing for probability zero (:data:`LOG_ZERO`).  The failure
@@ -22,6 +22,9 @@ import numpy as np
 
 __all__ = [
     "LOG_ZERO",
+    "BinomialCounts",
+    "CountLaw",
+    "HypergeometricCounts",
     "RateLike",
     "binomial_tail_and_cdf",
     "floor_rate_multiple",
@@ -33,7 +36,6 @@ __all__ = [
     "log_sum_exp",
     "rate_as_float",
     "stable_complement_product",
-    "windowed_log_sum",
 ]
 
 #: Log-domain representation of probability zero.
@@ -171,28 +173,127 @@ def log_binomial_coefficients(n: int) -> np.ndarray:
     return row
 
 
-def windowed_log_sum(log_terms, lo: int, hi: int, mode: float, sd: float) -> float:
-    """``log_sum_exp`` of log-concave terms log_terms(j), j = lo..hi (float64 counts
-    in, terms out), built only within 750 of the largest: from ``mode`` clamped to
-    [lo, hi], 40 ``sd`` + 16 counts each way, doubled until each end is below that
-    cut or at its range end.  ``log_sum_exp`` adds any term more than 745.14 below
-    its largest as 0.0, so this is the full row's sum to the bit."""
-    centre, width = min(max(int(mode), lo), hi), int(40.0 * sd) + 16
-    while lo <= hi:
-        a, b = max(lo, centre - width), min(hi, centre + width)
-        terms = log_terms(np.arange(a, b + 1, dtype=np.float64))
-        cut = float(terms.max()) - 750.0
-        if (a == lo or terms[0] < cut) and (b == hi or terms[-1] < cut):
-            return log_sum_exp(terms)
-        width *= 2
-    return LOG_ZERO  # the empty range
+class CountLaw:
+    """One committee's adversary count, fixed by what stays constant over a layout, at
+    committee size n: its ``support``, the mode and sd that ``centre`` a sum, the vector
+    ``log_pmf`` (``log_factorial``), one ``first`` term (``math.lgamma``, cheaper than
+    numpy), the ``ratio`` pmf(j + 1) / pmf(j) and the ``magnitude`` that sets rounding."""
+
+    def support(self, n: int) -> tuple[int, int]:
+        return 0, n
+
+    def log_sum(self, n: int, lo: int, hi: int) -> float:
+        """``log_sum_exp`` of the log pmf over counts lo..hi of the support: from the mode,
+        40 sd + 16 counts each way, doubled until each end is 750 below the largest or at
+        the range's end.  Terms 745.14 below it add 0.0, so this is the full row's sum."""
+        (low, high), (mode, sd) = self.support(n), self.centre(n)
+        lo, hi = max(lo, low), min(hi, high)
+        centre, width = min(max(int(mode), lo), hi), int(40.0 * sd) + 16
+        while lo <= hi:
+            a, b = max(lo, centre - width), min(hi, centre + width)
+            terms = self.log_pmf(n, np.arange(a, b + 1, dtype=np.float64))
+            cut = float(terms.max()) - 750.0
+            if (a == lo or terms[0] < cut) and (b == hi or terms[-1] < cut):
+                return log_sum_exp(terms)
+            width *= 2
+        return LOG_ZERO  # the empty range
+
+    def tail(self, n: int, cap: int) -> float:
+        """log P(count > cap) of a committee of n, at most log 1."""
+        return min(self.log_sum(n, cap + 1, n), 0.0)
+
+    def head(self, n: int, cap: int, goal: float) -> float:
+        """Lower bound on ``tail(n, cap)``: the pmf of the first failing count, then
+        at most 64 steps of ``ratio``, stopping once past ``goal``; at most log 1."""
+        lo, hi = self.support(n)
+        j = max(cap + 1, lo)
+        if j > hi:
+            return LOG_ZERO
+        log_first = self.first(n, j)
+        if log_first > goal:
+            return log_first
+        need = math.exp(min(goal - log_first, 700.0))  # finite far below the goal
+        s = t = 1.0
+        for i in range(j, min(j + 64, hi)):
+            t *= self.ratio(n, i)
+            s += t
+            if s > need or t < 2.0 ** -20 * s:  # past the goal, or little left to add
+                break
+        return min(log_first + math.log(s), 0.0)
 
 
+class BinomialCounts(CountLaw):
+    """Binomial(n, p): nodes adversarial independently at rate 0 <= p < 1."""
+
+    def __init__(self, p: float):
+        self.p, self.odds = p, p / (1.0 - p)
+        self.log_p, self.log_q = math.log(p) if p > 0.0 else LOG_ZERO, math.log1p(-p)
+        self.log_scale = -math.log(min(p, 1.0 - p)) if p > 0.0 else 0.0
+
+    def centre(self, n: int) -> tuple[float, float]:
+        return (n + 1) * self.p, math.sqrt(n * self.p * (1.0 - self.p))
+
+    def log_pmf(self, n: int, j: np.ndarray) -> np.ndarray:
+        # ln C(n, j) + j ln p + (n - j) ln(1 - p), one ln k! call for n, j and n - j
+        lf = log_factorial(np.concatenate(((n,), j, n - j)))
+        return lf[0] - lf[1:j.size + 1] - lf[j.size + 1:] + j * self.log_p + (n - j) * self.log_q
+
+    def first(self, n: int, j: int) -> float:
+        return min(math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+                   + j * self.log_p + (n - j) * self.log_q, 0.0)
+
+    def ratio(self, n: int, j: int) -> float:
+        return (n - j) / (j + 1) * self.odds
+
+    def magnitude(self, n: int) -> float:
+        return math.lgamma(n + 1) + n * self.log_scale
+
+    def tail(self, n: int, cap: int) -> float:
+        # the split's tail: one at least 1/2 is log1mexp of the CDF, summed natively
+        return binomial_tail_and_cdf(n, self.p, cap)[1]
+
+
+class HypergeometricCounts(CountLaw):
+    """Exactly M of N nodes adversarial: C(n, j) C(N - n, M - j) / C(N, M), at most 1."""
+
+    def __init__(self, total: int, m: int):
+        self.total, self.m = total, m  # ln C(N, M), unchecked: sizing builds one per layout
+        self.log_norm = math.lgamma(total + 1) - math.lgamma(m + 1) - math.lgamma(total - m + 1)
+
+    def support(self, n: int) -> tuple[int, int]:
+        return max(0, self.m - self.total + n), min(n, self.m)
+
+    def centre(self, n: int) -> tuple[float, float]:
+        total, m = self.total, self.m
+        return ((n + 1) * (m + 1) / (total + 2),
+                math.sqrt(n * m * (total - m) * (total - n) / max(total - 1, 1)) / total)
+
+    def log_pmf(self, n: int, j: np.ndarray) -> np.ndarray:
+        m, rest = self.m, self.total - n  # one ln k! call for all six arguments
+        lf = log_factorial(np.concatenate(((n, rest), j, n - j, m - j, rest - m + j)))
+        lf_j, lf_n_j, lf_m_j, lf_rest_j = lf[2:].reshape(4, j.size)
+        return np.minimum(lf[0] - lf_j - lf_n_j + lf[1] - lf_m_j - lf_rest_j
+                          - self.log_norm, 0.0)
+
+    def first(self, n: int, j: int) -> float:
+        lg, m, rest = math.lgamma, self.m, self.total - n
+        return min((lg(n + 1) - lg(j + 1) - lg(n - j + 1))
+                   + (lg(rest + 1) - lg(m - j + 1) - lg(rest - m + j + 1))
+                   - self.log_norm, 0.0)
+
+    def ratio(self, n: int, j: int) -> float:
+        return (n - j) * (self.m - j) / ((j + 1) * (self.total - n - self.m + j + 1))
+
+    def magnitude(self, n: int) -> float:
+        return math.lgamma(self.total + 1)
+
+
+@lru_cache(maxsize=65536, typed=True)
 def binomial_tail_and_cdf(n: int, p: RateLike, k: int) -> tuple[float, float]:
-    """Log CDF and log upper tail of Binomial(n, p) split at k.
+    """Log CDF and log upper tail of Binomial(n, p) split at k, memoised.
 
     Returns ``(log P(X <= k), log P(X >= k + 1))``.  The tail, or the CDF where the
-    tail is at least 1/2, is summed by ``windowed_log_sum`` in O(sqrt(n p (1 - p)))
+    tail is at least 1/2, is ``BinomialCounts.log_sum`` in O(sqrt(n p (1 - p)))
     work; the other side is log1mexp of it.  So each log keeps full relative
     accuracy, and the two probabilities are complementary."""
     n = _check_count(n, "n")
@@ -206,17 +307,11 @@ def binomial_tail_and_cdf(n: int, p: RateLike, k: int) -> tuple[float, float]:
         return 0.0, LOG_ZERO
     if p == 1.0:
         return (0.0, LOG_ZERO) if k == n else (LOG_ZERO, 0.0)
-    log_p, log_q = math.log(p), math.log1p(-p)
-
-    def log_pmf(j):  # ln C(n, j) + j ln p + (n - j) ln(1 - p)
-        lf = log_factorial(np.concatenate(((n,), j, n - j)))
-        return lf[0] - lf[1:j.size + 1] - lf[j.size + 1:] + j * log_p + (n - j) * log_q
-
-    mode, sd = (n + 1) * p, math.sqrt(n * p * (1.0 - p))
-    log_tail = windowed_log_sum(log_pmf, k + 1, n, mode, sd)
+    law = BinomialCounts(p)
+    log_tail = law.log_sum(n, k + 1, n)
     if log_tail < -_LN2:
         return log1mexp(log_tail), log_tail
-    log_cdf = windowed_log_sum(log_pmf, 0, k, mode, sd)
+    log_cdf = law.log_sum(n, 0, k)
     return log_cdf, log1mexp(log_cdf)
 
 

@@ -50,8 +50,9 @@ import numpy as np
 # imported here, not on the first draw: numpy loads numpy.random lazily
 from numpy.random import Generator, Philox, SeedSequence
 
-from .failure import FailureQuery, _binomial_split_cached, _require_average
+from .failure import FailureQuery, _require_average
 from .partitions import AverageAdversary, ExactAdversary
+from .probcore import binomial_tail_and_cdf
 
 __all__ = [
     "DeltaEstimate",
@@ -109,7 +110,7 @@ def _group_survival(query: FailureQuery) -> np.ndarray:
     """
     rate = _require_average(query)
     return np.array([math.inf if cap >= size else
-                     math.exp(mult * _binomial_split_cached(size, rate, cap)[0])
+                     math.exp(mult * binomial_tail_and_cdf(size, rate, cap)[0])
                      for size, mult, cap in query.layout.allowances(query.threshold)])
 
 

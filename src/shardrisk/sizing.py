@@ -102,22 +102,21 @@ def _feasibility(tag: str, threshold, rate,
     if rate_as_float(rate, "adversary_rate") >= rate_as_float(threshold, "threshold"):
         raise ValueError("sizing needs adversary_rate below threshold")
     target = _validate_target(delta_target)
-    law = method.law
-    if law is None:
+    if method.law is None:
         return lambda layout: _delta(layout, tag, threshold, rate) <= target
-    bind, head, tail = law(rate)
+    law_of = method.law(rate)
     log_target = math.log(target)
 
     def feasible(layout: CommitteeLayout) -> bool:
-        key, magnitude = bind(layout)
+        law = law_of(layout)
         # covers the rounding of the log terms, of 64 ratio steps and of log_target
-        margin = 16 * math.ulp(magnitude) + 2.0 ** -40
+        margin = 16 * math.ulp(law.magnitude(max(layout.runs)[0])) + 2.0 ** -40
         goal = margin - _log_per_committee_budget(target, layout.committee_count)
         runs = layout.allowances(threshold)
-        if stable_complement_product([(head(key, size, cap, goal), mult)
+        if stable_complement_product([(law.head(size, cap, goal), mult)
                                       for size, mult, cap in runs]) > log_target + margin:
             return False
-        tails = [(tail(key, size, cap), mult) for size, mult, cap in runs]
+        tails = [(law.tail(size, cap), mult) for size, mult, cap in runs]
         if _log_upper(tails) < log_target - margin:
             return True
         return (_log_lower(tails) <= log_target + margin

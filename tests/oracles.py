@@ -8,7 +8,7 @@ log-pmfs of the partition family, the failure threshold, one-draw count
 samplers, the series expansions of the size-bracket budget and the scalar f_tilde
 loop, the
 per-committee sequence of a layout and the per-committee form of the
-random-size union bounds, the full-row tail sums that the windowed
+random-size union bounds, criterion 9's table of split deltas, the full-row tail sums that the windowed
 ones replaced, the exactly-M evaluator that always transforms the
 failure side first, the two bound walks that the one bound table
 replaced, and the exact binomial tails that judge a Monte Carlo count.
@@ -16,6 +16,7 @@ replaced, and the exact binomial tails that judge a Monte Carlo count.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import product
@@ -24,10 +25,11 @@ from typing import Sequence, Union
 import numpy as np
 
 from shardrisk import failure
-from shardrisk.failure import DeltaResult, FailureQuery
-from shardrisk.partitions import CommitteeLayout
+from shardrisk.failure import DeltaResult, FailureQuery, delta_exact_binomial
+from shardrisk.partitions import AverageAdversary, CommitteeLayout, layout_from_split
 from shardrisk.probcore import (
     LOG_ZERO,
+    HypergeometricCounts,
     RateLike,
     floor_rate_multiple,
     kl_divergence,
@@ -155,6 +157,17 @@ def scan_largest_committee_count(total_nodes, delta_of_k, delta_target) -> int:
         if delta_of_k(k) <= delta_target:
             best = k
     return best
+
+
+@functools.cache
+def criterion9_split_deltas(rate: float) -> dict[tuple[int, int], float]:
+    """Exact-binomial delta of the n/(n+1) split of N nodes into K committees at
+    threshold 1/3, keyed by (N, K), for N <= 500 and K = 2..N: criterion 9's
+    table.  It does not depend on the target, so it is built once per rate and
+    process, and every test on that grid reads the same one."""
+    return {(total, k): delta_exact_binomial(FailureQuery(
+        layout_from_split(total, k), AverageAdversary(rate), Fraction(1, 3))).delta
+        for total in range(1, 501) for k in range(2, total + 1)}
 
 
 def log_generating_derivative_ratios(
@@ -540,7 +553,7 @@ def full_row_binomial_split(n: int, p: float, k: int) -> tuple[float, float]:
 
 def full_row_marginal_log_tail(size: int, total: int, m: int, cap: int) -> float:
     """log P(count > cap) of one committee under exactly-M from the row of every
-    failing count: ``failure._marginal_log_tail`` before its window."""
+    failing count: ``HypergeometricCounts.tail`` before its window."""
     rest = total - size
     lo = max(cap + 1, m - rest)
     hi = min(size, m)
@@ -638,7 +651,7 @@ def union_hyper_exact(query: FailureQuery) -> DeltaResult:
     tails of every run, including those that cannot fail."""
     m = failure._require_exact(query)
     n_total = query.layout.total
-    tails = [(failure._marginal_log_tail(size, n_total, m, cap), mult)
+    tails = [(HypergeometricCounts(n_total, m).tail(size, cap), mult)
              for size, mult, cap in query.layout.allowances(query.threshold)]
     return failure._result("union-hyper-exact",
                            log_sum_exp([math.log(mult) + t for t, mult in tails]))

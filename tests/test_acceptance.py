@@ -44,6 +44,7 @@ from oracles import (
     binomial_far_tail,
     bracket_expansions,
     committee_sizes,
+    criterion9_split_deltas,
     curvature_at_tilt,
     hypergeometric_failure_table,
     hypergeometric_marginal_log_pmf_alternate,
@@ -63,9 +64,9 @@ from shardrisk.partitions import (
     AverageAdversary,
     CommitteeLayout,
     ExactAdversary,
+    hypergeometric_marginal_log_pmf,
     layout_from_split,
 )
-from shardrisk.partitions import _marginal_log_pmf
 from shardrisk.probcore import kl_divergence
 from shardrisk.saddle import (
     delta_asymptotic,
@@ -153,7 +154,7 @@ def test_c02_normalisation_and_marginal_forms():
         n = sum(sizes)
         for m in range(n + 1):
             for j in range(max(0, m - (n - sizes[0])), min(sizes[0], m) + 1):
-                a = _marginal_log_pmf(j, sizes[0], n, m)
+                a = hypergeometric_marginal_log_pmf(j, sizes[0], n, m)
                 b = hypergeometric_marginal_log_pmf_alternate(j, sizes[0], n, m)
                 worst = max(worst, abs(a - b))
     rng = np.random.default_rng(2024)
@@ -163,7 +164,7 @@ def test_c02_normalisation_and_marginal_forms():
         m = int(rng.integers(0, total))
         lo, hi = max(0, m - (total - size)), min(size, m)
         j = int(rng.integers(lo, hi + 1))
-        a = _marginal_log_pmf(j, size, total, m)
+        a = hypergeometric_marginal_log_pmf(j, size, total, m)
         b = hypergeometric_marginal_log_pmf_alternate(j, size, total, m)
         worst = max(worst, abs(a - b))
     ok = normalisation_ok and worst <= 1e-12
@@ -290,7 +291,7 @@ def test_c05_flags_a_sampler_without_multiplicity(monkeypatch):
     def survival_without_multiplicity(query):
         rate = simulate._require_average(query)
         return np.array([math.inf if cap >= size else
-                         math.exp(simulate._binomial_split_cached(size, rate, cap)[0])
+                         math.exp(simulate.binomial_tail_and_cdf(size, rate, cap)[0])
                          for size, _, cap in query.layout.allowances(query.threshold)])
 
     monkeypatch.setattr(simulate, "_group_survival", survival_without_multiplicity)
@@ -368,19 +369,9 @@ def test_c08_figure2_bracket():
 
 def test_c09_sizing_matches_scan_oracle():
     # delta(N, K) tables are independent of the target, so build them once
-    tables = {}
-    for rate in (0.1, 0.25):
-        table = {}
-        for total in range(1, 501):
-            for k in range(2, total + 1):
-                query = FailureQuery(
-                    layout_from_split(total, k), AverageAdversary(rate), THIRD
-                )
-                table[(total, k)] = delta_exact_binomial(query).delta
-        tables[rate] = table
     mismatches = []
     for rate in (0.1, 0.25):
-        table = tables[rate]
+        table = criterion9_split_deltas(rate)
         for target in (0.5, 0.1, 1e-3):
             for total in range(1, 501):
                 got = max_committees(total, target, THIRD, rate).committees

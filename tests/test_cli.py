@@ -154,6 +154,38 @@ class TestDeltaCommand:
         assert all(row["delta"] == "0.0" for row in rows)
 
 
+class TestDecimalRates:
+    # a decimal rate is the rational it names: at --threshold 0.29 a committee of
+    # 100 may hold 29 adversaries, where the float 0.29 times 100 floored to 28
+    DELTA = ["delta", "--layout", "100", "--adversary-frac", "0.2",
+             "--method", "exact-binomial"]
+
+    def test_decimal_threshold_reads_as_written(self, capsys):
+        code, decimal, _ = run_cli(capsys, *self.DELTA, "--threshold", "0.29")
+        _, rational, _ = run_cli(capsys, *self.DELTA, "--threshold", "29/100")
+        assert code == 0 and decimal == rational
+        assert float(parse_csv(decimal)[0]["delta"]) == pytest.approx(0.011248978720991502, rel=1e-12)
+
+    def test_decimal_threshold_in_a_sweep_config(self, capsys, tmp_path):
+        outputs = []
+        for threshold in (0.29, "29/100"):
+            path = tmp_path / "sweep.json"
+            path.write_text(json.dumps({
+                "schema": 1, "mode": "sweep-k", "nodes": 200, "k_range": [2, 4],
+                "threshold": threshold, "adversary_frac": 0.2,
+                "methods": ["exact-binomial"]}))
+            code, out, _ = run_cli(capsys, "sweep", "--config", str(path))
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-inf"])
+    def test_non_finite_rate_is_usage_error(self, capsys, rate):
+        code, out, err = run_cli(capsys, *self.DELTA, f"--threshold={rate}")
+        assert code == 2 and out == ""
+        assert err.startswith("usage:") and f"bad rate {rate!r}" in err
+
+
 class TestInternalErrors:
     def test_bounds_at_ten_thousand_nodes(self, capsys):
         code, out, err = run_cli(

@@ -21,7 +21,6 @@ from shardrisk import cli, failure
 from shardrisk.failure import (
     DeltaResult,
     FailureQuery,
-    _marginal_log_tail,
     _next_fast_len,
     delta_exact_binomial,
     delta_exact_hypergeometric,
@@ -40,6 +39,7 @@ from shardrisk.partitions import (
 )
 from shardrisk.probcore import (
     LOG_ZERO,
+    HypergeometricCounts,
     binomial_tail_and_cdf,
     kl_divergence,
     log_sum_exp,
@@ -539,7 +539,7 @@ class TestUnionBounds:
                      for j in range(cap + 1, min(size, m) + 1)]
             expected = min(log_sum_exp(np.array(terms)), 0.0)
             tolerance = 16 * math.ulp(math.lgamma(total + 1))
-            assert abs(_marginal_log_tail(size, total, m, cap) - expected) <= tolerance
+            assert abs(HypergeometricCounts(total, m).tail(size, cap) - expected) <= tolerance
 
     def test_random_sizes_rejects_exact_model(self):
         with pytest.raises(ValueError, match="needs an AverageAdversary"):

@@ -20,8 +20,7 @@ from shardrisk.partitions import (
     hypergeometric_marginal_log_pmf,
     layout_from_split,
 )
-from shardrisk.partitions import _marginal_log_pmf
-from shardrisk.probcore import LOG_ZERO
+from shardrisk.probcore import LOG_ZERO, HypergeometricCounts
 
 
 class TestLayout:
@@ -51,6 +50,26 @@ class TestLayout:
             CommitteeLayout(())
         with pytest.raises(ValueError):
             CommitteeLayout((3, 0))
+
+    # each of these once truncated a size or count to an integer without a word
+    @pytest.mark.parametrize("call", [
+        lambda: CommitteeLayout((2.5, 3)),
+        lambda: CommitteeLayout.from_runs(((3, 1.5),)),
+        lambda: layout_from_split(10.7, 3),
+        lambda: layout_from_split(10, 2.5),
+        lambda: hypergeometric_marginal_log_pmf(2.5, 10, 50, 12),
+        lambda: hypergeometric_marginal_log_pmf(2, 10, 50, adversary_count=12.7),
+    ], ids=["layout", "run-multiplicity", "split-nodes", "split-committees",
+            "marginal-count", "marginal-adversary-count"])
+    def test_non_integer_sizes_raise(self, call):
+        with pytest.raises(ValueError, match="integer"):
+            call()
+
+    def test_numpy_integer_sizes_build_the_same_layout(self):
+        assert CommitteeLayout((np.int64(2), np.int64(3))) == CommitteeLayout((2, 3))
+        assert layout_from_split(np.int64(10), np.int64(3)) == layout_from_split(10, 3)
+        runs = CommitteeLayout.from_runs(((np.int64(3), np.int64(2)),)).runs
+        assert runs == ((3, 2),) and type(runs[0][0]) is int
 
 
 class TestAdversaryModels:
@@ -199,7 +218,7 @@ class TestHypergeometricMarginal:
             m = int(rng.integers(0, total + 1))
             lo, hi = max(0, m - (total - size)), min(size, m)
             j = int(rng.integers(lo, hi + 1))
-            a = _marginal_log_pmf(j, size, total, m)
+            a = HypergeometricCounts(total, m).first(size, j)
             b = hypergeometric_marginal_log_pmf_alternate(j, size, total, m)
             assert a == pytest.approx(b, abs=1e-12)
 
@@ -209,7 +228,7 @@ class TestHypergeometricMarginal:
         total, size, m = 10_000, 100, 2500
         tolerance = 16 * math.ulp(math.lgamma(total + 1))
         for j in range(34, 44):
-            a = _marginal_log_pmf(j, size, total, m)
+            a = HypergeometricCounts(total, m).first(size, j)
             b = hypergeometric_marginal_log_pmf_alternate(j, size, total, m)
             assert abs(a - b) <= tolerance, j
             assert hypergeometric_marginal_log_pmf(j, size, total, m) == a

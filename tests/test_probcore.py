@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from shardrisk.probcore import (
     LOG_ZERO,
+    BinomialCounts,
+    HypergeometricCounts,
     binomial_tail_and_cdf,
     floor_rate_multiple,
     kl_divergence,
@@ -258,3 +260,35 @@ class TestHelpers:
         assert log_sum_exp(np.array([])) == LOG_ZERO
         assert log_sum_exp(np.array([LOG_ZERO, LOG_ZERO])) == LOG_ZERO
         assert log_sum_exp(np.array([math.log(0.25)] * 4)) == pytest.approx(0.0, abs=1e-15)
+
+
+# (law, committee size): both laws at ordinary points and at the ends of their
+# support, M > N - n, M = 0 and M = N for exactly-M, p near 0 and near 1
+COUNT_LAWS = [
+    *((BinomialCounts(p), n) for p in (1e-9, 0.1, 0.3, 0.5, 0.97, 1.0 - 1e-9)
+      for n in (1, 7, 60, 1000, 10 ** 6)),
+    *((HypergeometricCounts(total, m), n) for total, m, n in (
+        (1, 1, 1), (20, 15, 10), (20, 0, 10), (20, 20, 10), (60, 55, 50), (100, 30, 40),
+        (4500, 1125, 300), (10 ** 6, 3 * 10 ** 5, 10 ** 4), (10 ** 6, 999_990, 50))),
+]
+
+
+@pytest.mark.parametrize("law, n", COUNT_LAWS)
+def test_count_law_forms_agree(law, n):
+    """The scalar first term and the term ratio of each law against its vector
+    log pmf, over the support, or +-50 counts around the mode for large n; and
+    the head at goal -inf is the first failing count's pmf."""
+    (lo, hi), (mode, _) = law.support(n), law.centre(n)
+    if hi - lo > 200:
+        lo, hi = max(lo, int(mode) - 50), min(hi, int(mode) + 50)
+    counts = np.arange(lo, hi + 1, dtype=np.float64)
+    log_pmf = law.log_pmf(n, counts)
+    ulp = math.ulp(law.magnitude(n))
+    for i, j in enumerate(range(lo, hi + 1)):
+        assert abs(law.first(n, j) - log_pmf[i]) <= 16 * ulp, j
+        if j < hi:
+            step = log_pmf[i + 1] - log_pmf[i]
+            assert abs(math.log(law.ratio(n, j)) - step) <= 32 * ulp, j
+        # j is the first failing count at cap j - 1 (cap -1 reads the lower end)
+        assert law.head(n, j - 1, -math.inf) == law.first(n, j), j
+    assert law.head(n, -1, -math.inf) == law.first(n, law.support(n)[0])

@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 from oracles import (delta_exact_hypergeometric_failure_first, exact_m_failure_survival,
                      log_ratio)
 from shardrisk import failure
-from shardrisk.failure import (FailureQuery, _binomial_law, _log_lower, _log_upper,
-                               _marginal_log_tail, delta_exact_hypergeometric)
+from shardrisk.failure import FailureQuery, _log_lower, _log_upper, delta_exact_hypergeometric
+from shardrisk.methods import _binomial_law
 from shardrisk.partitions import CommitteeLayout, ExactAdversary, layout_from_split
-from shardrisk.probcore import LOG_ZERO
+from shardrisk.probcore import LOG_ZERO, HypergeometricCounts
 
 THRESHOLDS = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2))
 
@@ -40,7 +40,7 @@ def layouts(draw, max_nodes):
 
 
 def marginal_tails(layout, m, threshold):
-    return [(_marginal_log_tail(size, layout.total, m, cap), mult)
+    return [(HypergeometricCounts(layout.total, m).tail(size, cap), mult)
             for size, mult, cap in layout.allowances(threshold)]
 
 
@@ -62,9 +62,8 @@ def fraction_product_binomial_delta(layout, rate, threshold) -> Fraction:
 @example(layout=CommitteeLayout.from_runs([(150, 1)]), threshold=Fraction(1, 3),
          rate=Fraction(1, 100))
 def test_lower_end_is_the_product_binomial_delta(layout, threshold, rate):
-    bind, _, tail = _binomial_law(rate)
-    key, _ = bind(layout)
-    lower = _log_lower([(tail(key, size, cap), mult)
+    law = _binomial_law(rate)(layout)
+    lower = _log_lower([(law.tail(size, cap), mult)
                         for size, mult, cap in layout.allowances(threshold)])
     delta = fraction_product_binomial_delta(layout, rate, threshold)
     assert lower == pytest.approx(log_ratio(delta.numerator, delta.denominator),

@@ -6,22 +6,19 @@ import pytest
 
 from oracles import (
     bracket_expansions,
+    criterion9_split_deltas,
     exact_m_failure_survival,
     exact_m_sandwich,
     f_tilde_loop,
     scan_exact_m_committee_size,
     scan_largest_committee_count,
 )
-from shardrisk import failure, sizing
+from shardrisk import sizing
 from shardrisk.failure import (
     FailureQuery,
-    _binomial_law,
-    _binomial_split_cached,
-    _hypergeometric_law,
-    _marginal_log_tail,
     delta_exact_binomial,
 )
-from shardrisk.methods import METHODS, method_query
+from shardrisk.methods import METHODS, _binomial_law, _hypergeometric_law, method_query
 from shardrisk.partitions import (
     AverageAdversary,
     CommitteeLayout,
@@ -29,7 +26,7 @@ from shardrisk.partitions import (
     hypergeometric_marginal_log_pmf,
     layout_from_split,
 )
-from shardrisk.probcore import kl_divergence
+from shardrisk.probcore import HypergeometricCounts, binomial_tail_and_cdf, kl_divergence
 from shardrisk.sizing import (
     F_TILDE_SCAN_LIMIT,
     _f_tilde,
@@ -61,17 +58,15 @@ def split_delta(total, k, threshold, rate):
 
 def hypergeometric_head(cap, size, total, m, goal):
     """The exactly-M law's tail head for one committee, m adversaries among
-    ``total`` nodes (the key reads only the layout's total)."""
-    bind, head, _ = _hypergeometric_law(Fraction(m, total))
-    key, _ = bind(CommitteeLayout.from_runs(((1, total),)))
-    return head(key, size, cap, goal)
+    ``total`` nodes (the law reads only the layout's total)."""
+    law = _hypergeometric_law(Fraction(m, total))(CommitteeLayout.from_runs(((1, total),)))
+    return law.head(size, cap, goal)
 
 
 def binomial_head(cap, size, rate, goal):
     """The average law's tail head for one committee at ``rate``."""
-    bind, head, _ = _binomial_law(rate)
-    key, _ = bind(CommitteeLayout.from_runs(((size, 1),)))
-    return head(key, size, cap, goal)
+    law = _binomial_law(rate)(CommitteeLayout.from_runs(((size, 1),)))
+    return law.head(size, cap, goal)
 
 
 @functools.cache
@@ -167,8 +162,10 @@ class TestMaxCommittees:
         ("exact", (*range(1, 301, 23), 60, 300), (0.5, 0.1, 1e-3), (0.1, 0.25)),
     ], ids=["average", "exact"])
     def test_scan_stops_at_its_answer(self, monkeypatch, model, totals, targets, rates):
-        # N = 60 at target 0.5 and rate 1/4 is not monotone in K
-        delta_of = split_delta if model == "average" else exact_m_split_delta
+        # N = 60 at target 0.5 and rate 1/4 is not monotone in K; the average
+        # model reads criterion 9's table, the same split_delta values built once
+        delta_of = exact_m_split_delta if model == "exact" else (
+            lambda total, k, threshold, rate: criterion9_split_deltas(rate)[(total, k)])
         counts = self.record_counts(monkeypatch)
         for rate in rates:
             for total in totals:
@@ -292,14 +289,14 @@ class TestMinCommitteeSize:
     def test_tail_head_starts_at_the_first_supported_count(self, cap, size, total, m):
         # with M above the other committees' N - size nodes, every count below
         # M - (N - size) has probability 0, and the tail is about 1
-        log_tail = _marginal_log_tail(size, total, m, cap)
+        log_tail = HypergeometricCounts(total, m).tail(size, cap)
         head = hypergeometric_head(cap, size, total, m, math.inf)
         assert log_tail - 1e-3 < head <= log_tail + 1e-12
 
     def test_few_tail_rows_for_ten_large_committees(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(failure, "_marginal_log_tail",
-                            lambda *args: calls.append(args) or _marginal_log_tail(*args))
+        calls, tail = [], HypergeometricCounts.tail
+        monkeypatch.setattr(HypergeometricCounts, "tail",
+                            lambda *args: calls.append(args) or tail(*args))
         monkeypatch.setattr(sizing, "_delta", lambda *args: pytest.fail("evaluator ran"))
         assert min_committee_size(10, 1e-9, THIRD, Fraction(3, 10), "exact") == 6993
         assert len(calls) <= 20
@@ -308,9 +305,9 @@ class TestMinCommitteeSize:
     def test_few_tail_rows_for_the_union_tag(self, monkeypatch, k, expected):
         # deciding each size by the evaluator builds one tail row per size:
         # 6,994 at K = 10 and 9,517 at K = 1000
-        calls = []
-        monkeypatch.setattr(failure, "_marginal_log_tail",
-                            lambda *args: calls.append(args) or _marginal_log_tail(*args))
+        calls, tail = [], HypergeometricCounts.tail
+        monkeypatch.setattr(HypergeometricCounts, "tail",
+                            lambda *args: calls.append(args) or tail(*args))
         assert scan_committee_size(k, 1e-9, THIRD, Fraction(3, 10),
                                    "union-hyper-exact") == expected
         assert len(calls) <= 20
@@ -382,16 +379,16 @@ class TestAverageModelHead:
 
     def test_few_binomial_rows_at_ten_thousand_nodes(self):
         # deciding each K by its CDF row builds one row per K, 269 here
-        _binomial_split_cached.cache_clear()
+        binomial_tail_and_cdf.cache_clear()
         result = max_committees(10_000, 1e-6, THIRD, Fraction(1, 4))
         assert result.committees == 12
-        assert _binomial_split_cached.cache_info().misses <= 50
+        assert binomial_tail_and_cdf.cache_info().misses <= 50
 
     def test_few_binomial_rows_for_a_thousand_large_committees(self):
         # one CDF row per size scanned would be 9,528 rows
-        _binomial_split_cached.cache_clear()
+        binomial_tail_and_cdf.cache_clear()
         assert min_committee_size(1000, 1e-9, THIRD, Fraction(3, 10)) == 9528
-        assert _binomial_split_cached.cache_info().misses <= 20
+        assert binomial_tail_and_cdf.cache_info().misses <= 20
 
 
 DECISION_RATES = [Fraction(1, 10), Fraction(1, 4), Fraction(3, 10), 0.2, 0.33]

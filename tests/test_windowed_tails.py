@@ -1,7 +1,7 @@
 """The windowed tail sums of both exact laws, and the orderings they feed.
 
-``binomial_tail_and_cdf`` and ``failure._marginal_log_tail`` sum only the
-terms within 750 of the largest, through ``probcore.windowed_log_sum``.  The
+``binomial_tail_and_cdf`` and ``HypergeometricCounts.tail`` sum only the
+terms within 750 of the largest, through ``probcore.CountLaw.log_sum``.  The
 tests here hold them to the full-row sums they replaced with ``==``, count
 the terms they build at n = 1e7 and N = 1e8, bound the memory of CLI
 queries at n = 1e9, and check the orderings between the registry's tags on
@@ -20,12 +20,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import full_row_binomial_split, full_row_marginal_log_tail
-from shardrisk import failure, probcore
+from shardrisk import probcore
 from shardrisk.cli import main
-from shardrisk.failure import _hypergeometric_law, _log_lower, _marginal_log_tail
-from shardrisk.methods import METHODS, method_query
+from shardrisk.failure import _log_lower
+from shardrisk.methods import METHODS, _hypergeometric_law, method_query
 from shardrisk.partitions import CommitteeLayout
-from shardrisk.probcore import LOG_ZERO, binomial_tail_and_cdf, windowed_log_sum
+from shardrisk.probcore import (LOG_ZERO, BinomialCounts, HypergeometricCounts,
+                                binomial_tail_and_cdf)
 
 # -------------------------------------------------------------------------
 # the same bits as the full rows
@@ -80,7 +81,8 @@ class TestSameBitsAsFullRows:
     @example((199_999, 200_000, 100_000, 66_666))
     @example((1, 2, 1, 0))
     def test_marginal_tail(self, case):
-        assert _marginal_log_tail(*case) == full_row_marginal_log_tail(*case)
+        size, total, m, cap = case
+        assert HypergeometricCounts(total, m).tail(size, cap) == full_row_marginal_log_tail(*case)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 50, 1000])
     @pytest.mark.parametrize("p", [1e-9, 0.003, 0.3, 0.5, 0.97, 1.0 - 1e-9])
@@ -93,11 +95,11 @@ class TestSameBitsAsFullRows:
                                                 (700, 1000, 10)])
     def test_marginal_every_cap(self, size, total, m):
         for cap in range(-1, size + 1):
-            assert (_marginal_log_tail(size, total, m, cap)
+            assert (HypergeometricCounts(total, m).tail(size, cap)
                     == full_row_marginal_log_tail(size, total, m, cap)), cap
 
     def test_empty_range_is_zero_probability(self):
-        assert windowed_log_sum(lambda j: 0.0 * j, 5, 4, 3.0, 1.0) == LOG_ZERO
+        assert BinomialCounts(0.4).log_sum(9, 5, 4) == LOG_ZERO
         assert binomial_tail_and_cdf(9, 0.4, 9) == (0.0, LOG_ZERO)
 
 
@@ -135,8 +137,8 @@ class TestWorkBound:
         total, size, m = 10 ** 8, 5 * 10 ** 7, 3 * 10 ** 7
         share = m / total
         sd = math.sqrt(size * share * (1.0 - share) * (total - size) / (total - 1))
-        sizes = counted_log_factorial(monkeypatch, failure)
-        log_tail = _marginal_log_tail(size, total, m, size // 3)
+        sizes = counted_log_factorial(monkeypatch, probcore)
+        log_tail = HypergeometricCounts(total, m).tail(size, size // 3)
         assert -1e6 < log_tail < -1e5
         terms = sum((s - 2) // 4 for s in sizes)  # (size, rest) and four per count
         assert 0 < terms <= 100 * sd, (terms, sd)
@@ -157,7 +159,7 @@ def traced_cli(capsys, *argv):
 
 class TestLargeNetworksInBoundedMemory:
     def test_exact_binomial_at_a_billion(self, capsys):
-        failure._binomial_split_cached.cache_clear()
+        probcore.binomial_tail_and_cdf.cache_clear()
         code, rows, peak = traced_cli(
             capsys, "delta", "--layout", "1000000000,1000000000", "--adversary-frac",
             "3/10", "--threshold", "1/3", "--method",
@@ -229,10 +231,9 @@ def test_tag_orderings(case):
 
     exact = evaluate("exact", layout, threshold, rate, (
         "exact-hypergeometric", "union-hyper-exact", "union-hyper-hoeffding"))
-    bind, _, tail = _hypergeometric_law(rate)
-    key, _ = bind(layout)
+    law = _hypergeometric_law(rate)(layout)
     na_lower = _log_lower(
-        [(tail(key, size, cap), mult) for size, mult, cap in layout.allowances(threshold)])
+        [(law.tail(size, cap), mult) for size, mult, cap in layout.allowances(threshold)])
     assert_chain([na_lower] + [exact[tag].raw_log_delta for tag in (
         "exact-hypergeometric", "union-hyper-exact", "union-hyper-hoeffding")], slack)
 
